@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench-pmem bench-alloc bench-recovery bench-batching bench-flushavoid bench-workloads kvstore-smoke sweep docs-lint telemetry-smoke ci
+.PHONY: all build test race bench-pmem bench-alloc bench-recovery bench-batching bench-flushavoid bench-workloads kvstore-smoke sweep docs-lint telemetry-smoke examples ci
 
 all: build
 
@@ -98,6 +98,16 @@ telemetry-smoke:
 		-telemetry telemetry.json -progress 0
 	$(GO) run ./cmd/telemetryvet telemetry.json
 
+# examples runs every program under examples/. Each one audits its own run
+# (exactly-once results, structural invariants) and exits non-zero when the
+# audit fails; examples/kvstore drives RecoverPut, RecoverDelete and
+# RecoverGet across crashes of a sharded store.
+examples:
+	@for d in examples/*/; do \
+		echo "== $$d"; \
+		$(GO) run ./$$d || exit 1; \
+	done
+
 ci:
 	$(GO) vet ./...
 	$(GO) build ./...
@@ -111,3 +121,4 @@ ci:
 	$(MAKE) bench-workloads
 	$(MAKE) kvstore-smoke
 	$(MAKE) telemetry-smoke
+	$(MAKE) examples

@@ -67,13 +67,20 @@ func main() {
 		log.Fatal(err)
 	}
 	h2 := recovered.Handle(pool.NewThread(1))
-	fmt.Println("RecoverInsert(20):", h2.RecoverInsert(20))
-	fmt.Println("keys after recovery:", recovered.Keys(pool.NewThread(2)))
+	first := h2.RecoverInsert(20)
+	keys := recovered.Keys(pool.NewThread(2))
+	fmt.Println("RecoverInsert(20):", first)
+	fmt.Println("keys after recovery:", keys)
 
 	// Exactly-once: re-running the recovery function must not apply the
 	// insert twice — it just reports the recorded response again.
-	fmt.Println("RecoverInsert(20) again:", recovered.Handle(pool.NewThread(1)).RecoverInsert(20))
-	fmt.Println("keys unchanged:", recovered.Keys(pool.NewThread(2)))
+	again := recovered.Handle(pool.NewThread(1)).RecoverInsert(20)
+	keysAgain := recovered.Keys(pool.NewThread(2))
+	fmt.Println("RecoverInsert(20) again:", again)
+	fmt.Println("keys unchanged:", keysAgain)
+	if !first || !again || fmt.Sprint(keys) != "[10 20 30]" || fmt.Sprint(keysAgain) != "[10 20 30]" {
+		log.Fatalf("audit failed: RecoverInsert(20)=%v then %v, keys %v then %v", first, again, keys, keysAgain)
+	}
 
 	if err := recovered.CheckInvariants(pool.NewThread(2), true); err != nil {
 		log.Fatal(err)

@@ -45,6 +45,9 @@ func main() {
 	wg.Wait()
 	fmt.Printf("thread 0 offered 100, received %d\n", results[0])
 	fmt.Printf("thread 1 offered 101, received %d\n", results[1])
+	if results[0] != 101 || results[1] != 100 {
+		log.Fatalf("audit failed: the pair received %v, want [101 100]", results)
+	}
 
 	// A lonely exchange times out rather than blocking forever.
 	h := ex.Handle(pool.NewThread(3))

@@ -66,9 +66,18 @@ func main() {
 		log.Fatal(err)
 	}
 	h2 := recovered.Handle(pool.NewThread(1))
-	fmt.Println("RecoverInsert(30):", h2.RecoverInsert(30))
-	fmt.Println("Find(30):", h2.Find(30))
-	fmt.Println("keys after recovery:", recovered.Keys(pool.NewThread(2)))
+	inserted := h2.RecoverInsert(30)
+	found := h2.Find(30)
+	keys := recovered.Keys(pool.NewThread(2))
+	fmt.Println("RecoverInsert(30):", inserted)
+	fmt.Println("Find(30):", found)
+	fmt.Println("keys after recovery:", keys)
+
+	// Audit: 30 was absent, so the recovered insert reports true and the
+	// key is present exactly once.
+	if !inserted || !found || fmt.Sprint(keys) != "[20 30]" {
+		log.Fatalf("audit failed: RecoverInsert(30)=%v Find(30)=%v keys=%v", inserted, found, keys)
+	}
 
 	if err := recovered.CheckInvariants(pool.NewThread(2), true); err != nil {
 		log.Fatal(err)

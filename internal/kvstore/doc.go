@@ -24,7 +24,13 @@
 // Keys hash to a shard with a seeded splitmix64; each shard serializes
 // its writers with a volatile spinlock whose spin body performs a pool
 // load, so a simulated crash propagates into spinners instead of
-// deadlocking them. A fresh Put runs the three-stage protocol the
+// deadlocking them. Only membership changes touch the tracking index: a
+// fresh-key Put and a Delete of a present key. Get, an overwriting Put,
+// CAS and a Delete of an absent key answer from the value plane alone.
+// This is exact because of the lock invariant: whenever a shard's lock is
+// free, a key has a live slot if and only if it is an index member
+// (CheckInvariants enforces it; store recovery re-establishes it before
+// any operation runs). A fresh Put runs the three-stage protocol the
 // recovery machinery is built around: (1) value-write — allocate a block
 // (its bitmap bit is durable before the address is returned), persist
 // key/value, publish the block address into a free slot with a persisted
@@ -40,18 +46,23 @@
 // Recover (and RecoverParallel, which fans the same per-shard work out
 // on an internal/recovery engine — the durable result is byte-identical
 // by construction, since shards touch disjoint words and the per-shard
-// code is shared) re-attaches the header and tracking engine, then per
-// shard: re-attaches the embedded rhash and the shard allocator,
+// code is shared) re-attaches the header and tracking engine, finishes
+// every index operation the crash left in flight (so no later recovery
+// function or helper changes membership behind the reconciliation), then
+// per shard: re-attaches the embedded rhash and the shard allocator,
 // tombstones every live slot whose key is not in the index (a Put that
 // crashed between value-publish and index-insert, or a Delete that
 // crashed between index-delete and tombstone), rejects duplicate or
 // foreign slots, and runs rmm.RecoverGC with the surviving blocks as
 // roots so crash-leaked blocks return to the free-stacks. Per-operation
 // exactly-once results are then available through RecoverPut /
-// RecoverGet / RecoverDelete / RecoverCAS, which replay through the
-// tracking engine after making the value plane consistent with the
-// op's arguments. RecoverCAS is value-witnessed and therefore exact
-// only when old != new; see its comment.
+// RecoverDelete, which return the index operation's recorded result if
+// it took effect and re-execute the op otherwise (exact for an overwrite
+// or an absent-key Delete only if the caller ran Handle.Invoke before the
+// operation), RecoverGet, which re-executes Get (a read has no effect,
+// so it linearizes inside recovery), and RecoverCAS, which is
+// value-witnessed and therefore exact only when old != new; see its
+// comment.
 //
 // The tracking engine is shared by every shard (site prefix "rhash",
 // the same machinery rhash itself uses): a thread runs one recoverable

@@ -310,8 +310,12 @@ func (s *Store) Handle(ctx *pmem.ThreadCtx) *Handle {
 }
 
 // Invoke performs the system-side failure-atomic invocation step of the
-// thread's next recoverable operation (tracking CP := 0). Harnesses call
-// it before Put/Get/Delete/CAS; see the chaos package.
+// thread's next recoverable operation (tracking CP := 0). A caller that
+// may resolve a crashed Put or Delete through RecoverPut/RecoverDelete
+// must call it before the operation: an overwriting Put and a Delete of
+// an absent key never reach the index, so without the reset their replay
+// would answer with the thread's previous index operation. Get and CAS
+// recovery do not depend on it. See the chaos package for a harness.
 func (h *Handle) Invoke() { h.th.Invoke() }
 
 func (h *Handle) idx(si int) *rhash.Handle {
@@ -388,12 +392,24 @@ func (h *Handle) publish(sh *shard, j int, block pmem.Addr) {
 	h.ctx.PSync()
 }
 
-// tombstone durably retires slot j.
-func (h *Handle) tombstone(sh *shard, j int) {
-	w := h.s.slotAddr(sh, j)
+// drop durably retires slot j and frees the block it held.
+func (h *Handle) drop(si, j int, block pmem.Addr) error {
+	w := h.s.slotAddr(h.s.shards[si], j)
 	h.ctx.StoreDirty(w, slotTombstone)
 	h.ctx.PWBFirst(h.s.siteSlot, w)
 	h.ctx.PSync()
+	return h.am(si).Free(block)
+}
+
+// replace commits a fully-persisted replacement block for the live block
+// in slot j with a single-word slot swap, then frees the old block.
+func (h *Handle) replace(si, j int, old pmem.Addr, key int64, ttl, val uint64) error {
+	nb, err := h.newBlock(si, key, ttl, val)
+	if err != nil {
+		return err
+	}
+	h.publish(h.s.shards[si], j, nb) // commit point
+	return h.am(si).Free(old)
 }
 
 // stampTTL runs the put protocol's third stage: persist the expiry tick
@@ -406,11 +422,14 @@ func (h *Handle) stampTTL(block pmem.Addr, expireAt uint64) {
 }
 
 // Put maps key to val until the logical tick expireAt (NoExpiry for
-// none). It reports whether the key was absent — the result of the
-// underlying detectable index insert. A fresh key runs the three-stage
-// protocol (value-write, index-insert, TTL-stamp; see the package
-// comment); an overwrite builds a fully-persisted replacement block and
-// commits it with a single-word slot swap, freeing the old block after.
+// none) and reports whether the key was absent. Only a fresh key changes
+// membership, so only it touches the tracking index: it runs the
+// three-stage protocol (value-write, index-insert, TTL-stamp; see the
+// package comment) and returns the detectable insert's result. An
+// overwrite builds a fully-persisted replacement block, commits it with a
+// single-word slot swap and returns false without an index operation: the
+// live slot already proves membership (see the package comment's lock
+// invariant).
 func (h *Handle) Put(key int64, val uint64, expireAt uint64) (bool, error) {
 	s := h.s
 	si := s.shardOf(key)
@@ -419,18 +438,12 @@ func (h *Handle) Put(key int64, val uint64, expireAt uint64) (bool, error) {
 	defer s.unlock(sh)
 	pos, block, free := h.probe(sh, key)
 	if block != pmem.Null {
-		nb, err := h.newBlock(si, key, expireAt, val)
-		if err != nil {
-			return false, err
-		}
-		h.publish(sh, pos, nb) // commit point of the overwrite
-		absent := h.idx(si).Insert(key)
-		if err := h.am(si).Free(block); err != nil {
+		if err := h.replace(si, pos, block, key, expireAt, val); err != nil {
 			return false, err
 		}
 		s.puts.Add(1)
 		sh.ops.Add(1)
-		return absent, nil
+		return false, nil
 	}
 	if free < 0 {
 		return false, fmt.Errorf("%w (shard %d)", ErrFull, si)
@@ -447,31 +460,29 @@ func (h *Handle) Put(key int64, val uint64, expireAt uint64) (bool, error) {
 	return absent, nil
 }
 
-// Get returns the value mapped to key. The membership answer is the
-// detectable index find; the value is read from the slot the probe chain
-// resolves under the shard lock, so it is consistent with that answer.
+// Get returns the value mapped to key. It changes no membership, so it
+// answers from the value plane alone: under the shard lock a key has a
+// live slot exactly when it is an index member. It issues no persistence
+// instruction beyond first-observer flushes and allocates nothing.
 func (h *Handle) Get(key int64) (uint64, bool) {
 	s := h.s
-	si := s.shardOf(key)
-	sh := s.shards[si]
+	sh := s.shards[s.shardOf(key)]
 	s.lock(h.ctx, sh)
 	defer s.unlock(sh)
-	found := h.idx(si).Find(key)
 	s.gets.Add(1)
 	sh.ops.Add(1)
-	if !found {
-		return 0, false
-	}
 	_, block, _ := h.probe(sh, key)
 	if block == pmem.Null {
-		return 0, false // unreachable if invariants hold
+		return 0, false
 	}
 	return h.ctx.Load(block + bVal*pmem.WordSize), true
 }
 
-// Delete unmaps key, reporting whether it was present. The index delete
-// is the linearization point; the slot tombstone and block free follow,
-// and a crash between them is repaired by store recovery.
+// Delete unmaps key, reporting whether it was present. An absent key (no
+// live slot) returns false without touching the index. For a present key
+// the index delete is the linearization point; the slot tombstone and
+// block free follow, and a crash between them is repaired by store
+// recovery.
 func (h *Handle) Delete(key int64) (bool, error) {
 	s := h.s
 	si := s.shardOf(key)
@@ -479,13 +490,12 @@ func (h *Handle) Delete(key int64) (bool, error) {
 	s.lock(h.ctx, sh)
 	defer s.unlock(sh)
 	pos, block, _ := h.probe(sh, key)
-	present := h.idx(si).Delete(key) // commit point
+	present := block != pmem.Null
 	if present {
-		if block == pmem.Null {
-			return false, fmt.Errorf("kvstore: shard %d: member key %d has no live slot", si, key)
+		if !h.idx(si).Delete(key) { // commit point
+			return false, fmt.Errorf("kvstore: shard %d: live key %d not in index", si, key)
 		}
-		h.tombstone(sh, pos)
-		if err := h.am(si).Free(block); err != nil {
+		if err := h.drop(si, pos, block); err != nil {
 			return false, err
 		}
 	}
@@ -510,12 +520,7 @@ func (h *Handle) CAS(key int64, old, new uint64) (bool, error) {
 		return false, nil
 	}
 	ttl := h.ctx.Load(block + bTTL*pmem.WordSize)
-	nb, err := h.newBlock(si, key, ttl, new)
-	if err != nil {
-		return false, err
-	}
-	h.publish(sh, pos, nb) // commit point
-	if err := h.am(si).Free(block); err != nil {
+	if err := h.replace(si, pos, block, key, ttl, new); err != nil {
 		return false, err
 	}
 	s.casOps.Add(1)
@@ -548,8 +553,7 @@ func (h *Handle) EvictExpired(now uint64) (int, error) {
 				s.unlock(sh)
 				return evicted, fmt.Errorf("kvstore: shard %d: expired key %d not in index", si, key)
 			}
-			h.tombstone(sh, j)
-			if err := h.am(si).Free(b); err != nil {
+			if err := h.drop(si, j, b); err != nil {
 				s.unlock(sh)
 				return evicted, err
 			}

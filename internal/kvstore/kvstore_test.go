@@ -202,6 +202,10 @@ func TestRecoverCleanStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Nothing was in flight, so recovery has nothing to help or repair.
+	if st := r.LastRecovery(); st.PWBs != 0 || st.SlotsReconciled != 0 {
+		t.Fatalf("quiescent recovery wrote %d pwbs, reconciled %d slots", st.PWBs, st.SlotsReconciled)
+	}
 	ctx := pool.NewThread(1)
 	rh := r.Handle(ctx)
 	for k := int64(1); k <= 25; k++ {

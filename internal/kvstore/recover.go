@@ -65,9 +65,17 @@ func attachStore(pool *pmem.Pool, rootSlot, tid int) (*Store, *pmem.ThreadCtx, e
 	if !pool.ValidWords(engTable, 1) {
 		return nil, nil, fmt.Errorf("kvstore: root slot %d: corrupt header", rootSlot)
 	}
+	if tid >= s.maxThreads {
+		return nil, nil, fmt.Errorf("kvstore: recovery thread id %d >= store max threads %d", tid, s.maxThreads)
+	}
 	s.shards = make([]*shard, s.nShards)
 	s.registerSites()
 	s.eng = tracking.Attach(pool, engTable, s.maxThreads, "rhash")
+	// Finish every index operation the crash left in flight before any
+	// shard reads its membership: completed later, by its owner's
+	// recovery or a helper, one would change membership behind the slot
+	// reconciliation.
+	s.eng.HelpPending(s.eng.Thread(boot))
 	return s, boot, nil
 }
 
@@ -222,89 +230,59 @@ func RecoverParallel(pool *pmem.Pool, rootSlot int, eng *recovery.Engine) (*Stor
 	return s, nil
 }
 
-// RecoverPut is Put's exactly-once recovery function: call it after a
-// crash with the arguments of the interrupted Put. It first makes the
-// value plane consistent with a completed value-write stage (redoing the
-// block allocation, persist and publish if recovery tombstoned the torn
-// slot, or redoing a torn overwrite swap whose durable value is not val),
-// then replays the index insert through tracking for the operation's
-// result, then re-stamps the TTL idempotently.
+// RecoverPut is Put's exactly-once recovery function: call it, after
+// store recovery, with the arguments of the interrupted Put. If the Put's
+// index insert took effect before the crash, it returns that insert's
+// result and lands a torn TTL stamp (stage 3) on the block if it is still
+// the unstamped one the Put published; store recovery already made the
+// value plane agree with the index. Otherwise the Put had no visible
+// effect and is re-executed. An overwrite never reaches the index, so it
+// is always re-executed (reporting false while the key is still present)
+// — provided the caller ran Invoke before the interrupted Put (see
+// Handle.Invoke); otherwise the checkpoint of the thread's previous index
+// operation answers.
 func (h *Handle) RecoverPut(key int64, val uint64, expireAt uint64) (bool, error) {
 	s := h.s
 	si := s.shardOf(key)
 	sh := s.shards[si]
 	s.lock(h.ctx, sh)
-	defer s.unlock(sh)
-	pos, block, free := h.probe(sh, key)
-	if block == pmem.Null {
-		if free < 0 {
-			return false, fmt.Errorf("%w (shard %d)", ErrFull, si)
+	absent, done := h.idx(si).Resolve()
+	if done {
+		_, block, _ := h.probe(sh, key)
+		if block != pmem.Null && h.ctx.Load(block+bTTL*pmem.WordSize) == 0 &&
+			h.ctx.Load(block+bVal*pmem.WordSize) == val {
+			h.stampTTL(block, expireAt)
 		}
-		nb, err := h.newBlock(si, key, 0, val)
-		if err != nil {
-			return false, err
-		}
-		h.publish(sh, free, nb)
-		block = nb
-	} else if h.ctx.Load(block+bVal*pmem.WordSize) != val {
-		nb, err := h.newBlock(si, key, 0, val)
-		if err != nil {
-			return false, err
-		}
-		h.publish(sh, pos, nb)
-		if err := h.am(si).Free(block); err != nil {
-			return false, err
-		}
-		block = nb
 	}
-	absent := h.idx(si).RecoverInsert(key)
-	if h.ctx.Load(block+bTTL*pmem.WordSize) != expireAt {
-		h.stampTTL(block, expireAt)
+	s.unlock(sh)
+	if done {
+		return absent, nil
 	}
-	return absent, nil
+	return h.Put(key, val, expireAt)
 }
 
-// RecoverGet is Get's exactly-once recovery function: the membership
-// answer replays through tracking; the value read is the current one.
-func (h *Handle) RecoverGet(key int64) (uint64, bool) {
-	s := h.s
-	si := s.shardOf(key)
-	sh := s.shards[si]
-	s.lock(h.ctx, sh)
-	defer s.unlock(sh)
-	found := h.idx(si).RecoverFind(key)
-	if !found {
-		return 0, false
-	}
-	_, block, _ := h.probe(sh, key)
-	if block == pmem.Null {
-		return 0, false
-	}
-	return h.ctx.Load(block + bVal*pmem.WordSize), true
-}
+// RecoverGet is Get's recovery function: a read has no effect to finish
+// or undo, so it re-executes Get and linearizes inside recovery.
+func (h *Handle) RecoverGet(key int64) (uint64, bool) { return h.Get(key) }
 
-// RecoverDelete is Delete's exactly-once recovery function: the index
-// delete replays (or completes) through tracking; if it reports the key
-// was removed and a live slot for the key survives — the delete
-// linearized now, or crashed between its commit point and the tombstone
-// in a window store recovery already repaired — the slot is tombstoned
-// and the block freed.
+// RecoverDelete is Delete's exactly-once recovery function: call it, after
+// store recovery, with the key of the interrupted Delete. If the Delete's
+// index delete took effect before the crash, it returns that result; store
+// recovery already tombstoned the slot the delete left live. Otherwise the
+// Delete is re-executed. A Delete of an absent key never reaches the index,
+// so, as for RecoverPut, it is exact only if the caller ran Invoke before
+// the interrupted Delete.
 func (h *Handle) RecoverDelete(key int64) (bool, error) {
 	s := h.s
 	si := s.shardOf(key)
 	sh := s.shards[si]
 	s.lock(h.ctx, sh)
-	defer s.unlock(sh)
-	present := h.idx(si).RecoverDelete(key)
-	if present {
-		if pos, block, _ := h.probe(sh, key); block != pmem.Null {
-			h.tombstone(sh, pos)
-			if err := h.am(si).Free(block); err != nil {
-				return false, err
-			}
-		}
+	present, done := h.idx(si).Resolve()
+	s.unlock(sh)
+	if done {
+		return present, nil
 	}
-	return present, nil
+	return h.Delete(key)
 }
 
 // RecoverCAS is CAS's value-witnessed recovery function: if the durable
@@ -332,12 +310,7 @@ func (h *Handle) RecoverCAS(key int64, old, new uint64) (bool, error) {
 		return false, nil
 	}
 	ttl := h.ctx.Load(block + bTTL*pmem.WordSize)
-	nb, err := h.newBlock(si, key, ttl, new)
-	if err != nil {
-		return false, err
-	}
-	h.publish(sh, pos, nb)
-	if err := h.am(si).Free(block); err != nil {
+	if err := h.replace(si, pos, block, key, ttl, new); err != nil {
 		return false, err
 	}
 	return true, nil

@@ -269,6 +269,17 @@ func (h *Handle) RecoverDelete(key int64) bool { return h.bucket(key).RecoverDel
 // RecoverFind is Find's recovery function.
 func (h *Handle) RecoverFind(key int64) bool { return h.bucket(key).RecoverFind(key) }
 
+// Resolve reports the outcome of the thread's interrupted operation
+// without re-invoking it: done is true, with the operation's result, when
+// the operation took effect before the crash (completing it if no helper
+// had); done is false when it made no visible change and must be
+// re-invoked. A container that re-invokes through its own entry points
+// calls it in place of the Recover* functions.
+func (h *Handle) Resolve() (result, done bool) {
+	_, res, ok := h.th.Recover()
+	return res == rlist.ResultTrue, ok
+}
+
 // Keys returns all keys (unordered across buckets; diagnostic).
 func (m *Map) Keys(ctx *pmem.ThreadCtx) []int64 {
 	var out []int64

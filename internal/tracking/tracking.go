@@ -390,6 +390,34 @@ func (t *Thread) Help(d pmem.Addr) {
 	c.PSync()
 }
 
+// HelpPending runs, through th, the Help that each thread's own Recover
+// would run: for every thread whose checkpoint shows a published
+// descriptor (CP = 1, RD set) that may still change the structure, the
+// descriptor is helped to completion or backtracked. A container that
+// reconciles its own state against the structure after a crash calls it
+// first, so that no later Recover or helper changes the structure behind
+// that reconciliation. A descriptor whose result is recorded and whose
+// first AffectSet node no longer carries its tag is skipped: its updates
+// were durable before its cleanup began, or it had none (an early
+// result), so a quiescent structure costs no write-back.
+func (e *Engine) HelpPending(th *Thread) {
+	c := th.ctx
+	for tid := 0; tid < e.maxThreads; tid++ {
+		line := e.table + pmem.Addr(tid*pmem.LineBytes)
+		d := pmem.Addr(c.Load(line + pmem.WordSize))
+		if c.Load(line) == 0 || d == pmem.Null {
+			continue
+		}
+		if nA, _, _ := th.counts(d); nA > 0 && th.Result(d) != Bottom {
+			field, _, _ := th.affectEntry(d, 0)
+			if c.Load(field)&^pmem.DirtyBit != Tagged(d) {
+				continue
+			}
+		}
+		th.Help(d)
+	}
+}
+
 // Recover implements Op-Recover (Algorithm 1 lines 27-31). It returns the
 // recovered operation's descriptor and result when the operation took
 // effect before (or despite) the crash. ok == false means the operation
