@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench-pmem bench-alloc bench-recovery bench-batching bench-flushavoid bench-workloads kvstore-smoke sweep docs-lint telemetry-smoke examples ci
+.PHONY: all build test race fmt bench-pmem bench-alloc bench-recovery bench-batching bench-flushavoid bench-workloads kvstore-smoke sweep docs-lint telemetry-smoke examples ci
 
 all: build
 
@@ -13,6 +13,10 @@ test:
 race:
 	$(GO) test -race ./...
 
+# fmt fails when any Go file is not gofmt-clean.
+fmt:
+	test -z "$$(gofmt -l .)"
+
 # bench-pmem measures the simulated-NVMM substrate itself and records the
 # result; regressions here silently distort every structure benchmark, so
 # CI keeps a trajectory of BENCH_pmem.json.
@@ -20,10 +24,10 @@ bench-pmem:
 	$(GO) run ./cmd/benchrunner -substrate -threads 1,2,4,8,16 -batch-ops 8 -out BENCH_pmem.json
 	@cat BENCH_pmem.json
 
-# bench-alloc smokes the allocator churn comparison: the internal/rmm
-# free-stack against the bitmap-scan design it replaced, at fixed
-# occupancies (see docs/allocator.md). The full matrix rides along in
-# BENCH_pmem.json via bench-pmem; this target is the quick standalone run.
+# bench-alloc smokes the rmm churn cost: the internal/rmm free-stack
+# allocator cycling free/alloc at fixed occupancies (see docs/allocator.md).
+# The full matrix rides along in BENCH_pmem.json via bench-pmem; this
+# target is the quick standalone run.
 bench-alloc:
 	$(GO) run ./cmd/benchrunner -alloc -threads 1,4 -substrate-ops 500000
 
@@ -109,6 +113,7 @@ examples:
 	done
 
 ci:
+	$(MAKE) fmt
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...

@@ -24,7 +24,7 @@ func main() {
 		seed       = flag.Int64("seed", 1, "workload seed")
 		list       = flag.Bool("list", false, "list available experiments")
 		substrate  = flag.Bool("substrate", false, "measure the pmem substrate microbenchmarks instead of a figure")
-		allocOnly  = flag.Bool("alloc", false, "measure only the allocator churn points (free-stack vs bitmap-scan)")
+		allocOnly  = flag.Bool("alloc", false, "measure only the rmm allocator churn points")
 		subOps     = flag.Int("substrate-ops", 0, "operations per substrate data point (0: default)")
 		batchOps   = flag.Int("batch-ops", 0, "ambient write-combining policy, ops per group sync: adds mode:\"batched\" substrate points, applies to figure runs (0: off)")
 		checkFA    = flag.Bool("check-flushavoid", false, "with -substrate, fail unless the mode:\"flushavoid\" points show >= 30% executed pwbs/op reduction vs mode:\"fast\" on the tracking-hash update mix")

@@ -1,28 +1,16 @@
 package bench
 
-// Allocator churn microbenchmark: steady-state free/alloc cycling at a
-// fixed occupancy, the free-stack allocator (internal/rmm) against the
-// bitmap-scan design it replaced. The baseline is reconstructed here as
-// it shipped — shared reservation cursor, 32-block windows, word-at-a-time
-// scan with its per-word scan accounting — so the comparison survives the
-// original's removal from internal/rmm. (Only the exhausted-window hint is
-// dropped: it matters solely at near-exhaustion, where the scan's own cost
-// already tells the story.) Both sides pay identical persistence per
-// operation — one bitmap-bit PWB + PSync per alloc and per free — so the
-// points isolate the metadata work: the scan's cost grows as free bits
-// thin out toward high occupancy, while the free-stack pops in O(1) at any
-// occupancy and reuses a thread's own frees before touching shared state.
-// Under real multi-core contention the cursor design additionally funnels
-// every thread through the same bitmap region (hot lines, shared cursor);
-// the per-chunk stacks spread threads across lines. Points land in
-// BENCH_pmem.json as "alloc-churn-{freestack,bitmap}@<occupancy>".
+// Allocator churn microbenchmark: steady-state free/alloc cycling of the
+// internal/rmm free-stack allocator at a fixed occupancy — the allocator's
+// cost per operation. Every operation pays one bitmap-bit PWB + PSync, so
+// the points add the allocator's metadata work (O(1) pop/push at any
+// occupancy, own frees reused before shared state) on top of that persist
+// pair. Points land in BENCH_pmem.json as "alloc-churn-freestack@<occupancy>".
 
 import (
-	"math/bits"
 	"math/rand"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/pmem"
@@ -30,28 +18,20 @@ import (
 )
 
 const (
-	// allocChurnBlocks is the arena size: 4096 four-word blocks, so the
-	// baseline's bitmap spans 8 cache lines and the free-stack splits the
-	// same capacity into 8 chunks of 512.
+	// allocChurnBlocks is the arena size: 4096 four-word blocks, split
+	// into 8 chunks of 512.
 	allocChurnBlocks     = 4096
 	allocChurnBlockWords = 4
 	allocChurnChunks     = 8
-	allocChurnWindow     = 32 // baseline's cursor reservation, as in the seed
 )
 
 // allocChurnOccupancies are the live-block fractions (percent) each churn
 // point holds in steady state: a roomy anchor, the paper-style working
-// range, and a near-full arena where scan length dominates.
+// range, and a near-full arena.
 func allocChurnOccupancies() []int { return []int{50, 75, 90, 98} }
 
-// churnHandle is one thread's view of an allocator under test.
-type churnHandle interface {
-	alloc() pmem.Addr
-	free(pmem.Addr)
-}
-
 // AllocChurnReport measures only the allocator churn family — the quick
-// smoke behind `make bench-alloc`. The points use the same schema as the
+// rmm churn smoke behind `make bench-alloc`. The points use the same schema as the
 // full substrate report, so the output drops into BENCH_pmem.json
 // tooling unchanged.
 func AllocChurnReport(goroutines []int, opsPerPoint int) SubstrateReport {
@@ -68,84 +48,39 @@ func AllocChurnReport(goroutines []int, opsPerPoint int) SubstrateReport {
 }
 
 // churnRounds is how many full sweeps of the churn matrix run; each point
-// reports its fastest trial across the sweeps. churnRefine caps the extra
-// paired trials a close cell gets on top of them.
-const (
-	churnRounds = 7
-	churnRefine = 24
-)
+// reports its fastest trial across the sweeps.
+const churnRounds = 7
 
-// allocChurnPoints runs the full churn matrix: both allocators at every
-// occupancy and concurrency level. Iteration counts start from the
-// commit-path budget — churn operations cost a persist pair each, like a
-// structure op — doubled so each timed trial is long enough to dilute
-// this host's episodic multi-millisecond noise spikes. Churn points carry
-// a comparison claim, so the best-of trials are arranged against noise
-// two ways: within a sweep the freestack and bitmap trials of a cell run
-// back-to-back (a noisy stretch degrades both sides rather than deciding
-// the verdict), and a cell's trials are spread across whole-matrix sweeps
-// (a storm outlasting one cell's trials still leaves the cell's other
-// sweeps clean).
+// allocChurnPoints runs the full churn matrix: every occupancy and
+// concurrency level. Iteration counts start from the commit-path budget —
+// churn operations cost a persist pair each, like a structure op —
+// doubled so each timed trial is long enough to dilute episodic
+// multi-millisecond noise spikes, and a cell's trials are spread across
+// whole-matrix sweeps visited in a shuffled order, so a storm outlasting
+// one trial still leaves the cell's other sweeps clean.
 func allocChurnPoints(goroutines []int, opsPerPoint int) []SubstratePoint {
 	iters := 2 * commitPathOps(opsPerPoint)
-	type cell struct {
-		impl  string
-		occ   int
-		g     int
-		build func(p *pmem.Pool) func(ctx *pmem.ThreadCtx) churnHandle
-	}
+	type cell struct{ occ, g int }
 	var cells []cell
 	for _, occ := range allocChurnOccupancies() {
 		for _, g := range goroutines {
-			cells = append(cells,
-				cell{"freestack", occ, g, newFreeStackChurn},
-				cell{"bitmap", occ, g, newBitmapChurn})
+			cells = append(cells, cell{occ, g})
 		}
 	}
 	best := make([]SubstratePoint, len(cells))
-	order := make([]int, len(cells)/2)
+	order := make([]int, len(cells))
 	for i := range order {
 		order[i] = i
 	}
-	// Visit cells in a different (deterministic) order each sweep, at
-	// freestack/bitmap pair granularity: periodic background load on a
-	// shared host otherwise hits the same cells in every sweep, surviving
-	// the best-of, while keeping a cell's two sides back-to-back.
 	rng := rand.New(rand.NewSource(42))
 	for r := 0; r < churnRounds; r++ {
 		if r > 0 {
 			rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		}
-		for _, pi := range order {
-			for i := 2 * pi; i < 2*pi+2; i++ {
-				c := cells[i]
-				pt := runAllocChurn(c.impl, c.occ, c.g, iters, c.build)
-				if r == 0 || pt.NsPerOp < best[i].NsPerOp {
-					best[i] = pt
-				}
-			}
-		}
-	}
-	// Cells whose two sides are within ~15% get extra paired trials: the
-	// churn margins at moderate occupancy are a few percent, smaller than
-	// the min-of-churnRounds estimator's residual noise, so close cells
-	// are refined — symmetrically, both sides together — until the
-	// verdict rests on converged minima or the budget runs out.
-	for pi := 0; pi < len(cells)/2; pi++ {
-		fi, bi := 2*pi, 2*pi+1
-		for extra := 0; extra < churnRefine; extra++ {
-			d := best[fi].NsPerOp - best[bi].NsPerOp
-			if d < 0 {
-				d = -d
-			}
-			if d > 0.15*best[bi].NsPerOp {
-				break
-			}
-			for i := fi; i <= bi; i++ {
-				c := cells[i]
-				if pt := runAllocChurn(c.impl, c.occ, c.g, iters, c.build); pt.NsPerOp < best[i].NsPerOp {
-					best[i] = pt
-				}
+		for _, i := range order {
+			pt := runAllocChurn(cells[i].occ, cells[i].g, iters)
+			if r == 0 || pt.NsPerOp < best[i].NsPerOp {
+				best[i] = pt
 			}
 		}
 	}
@@ -156,16 +91,15 @@ func allocChurnPoints(goroutines []int, opsPerPoint int) []SubstratePoint {
 // goroutines each cycling free-one/alloc-one over their own live set, so
 // the global occupancy is pinned for the whole measurement. The fill is
 // excluded from both the clock and the counters.
-func runAllocChurn(impl string, occPct, g, iters int,
-	build func(p *pmem.Pool) func(ctx *pmem.ThreadCtx) churnHandle) SubstratePoint {
+func runAllocChurn(occPct, g, iters int) SubstratePoint {
 	p := pmem.New(pmem.Config{Mode: pmem.ModeFast, CapacityWords: 1 << 16, MaxThreads: g + 1})
-	handleFor := build(p)
+	a := rmm.NewGrowable(p, allocChurnBlockWords, allocChurnBlocks/allocChurnChunks, allocChurnChunks, 0)
 
 	target := allocChurnBlocks * occPct / 100
-	handles := make([]churnHandle, g)
+	handles := make([]*rmm.Handle, g)
 	live := make([][]pmem.Addr, g)
 	for t := 0; t < g; t++ {
-		handles[t] = handleFor(p.NewThread(t))
+		handles[t] = a.Handle(p.NewThread(t))
 		share := target / g
 		if t == 0 {
 			share += target - share*g
@@ -179,7 +113,7 @@ func runAllocChurn(impl string, occPct, g, iters int,
 	// slack and spuriously exhausts it.
 	for t := 0; t < g; t++ {
 		for i := range live[t] {
-			if live[t][i] = handles[0].alloc(); live[t][i] == pmem.Null {
+			if live[t][i] = handles[0].Alloc(); live[t][i] == pmem.Null {
 				panic("bench: churn fill exhausted the arena")
 			}
 		}
@@ -193,8 +127,8 @@ func runAllocChurn(impl string, occPct, g, iters int,
 		rngs[t] = rand.New(rand.NewSource(int64(9000 + t)))
 	}
 	// The timed phase runs in segments, and the point reports the fastest
-	// one. Two layers defend the few-percent churn margins against
-	// background load on a shared single-core host: each segment is timed
+	// one. Two layers defend the point against background load on a
+	// shared single-core host: each segment is timed
 	// on the process CPU clock where available (preemption gaps cost this
 	// process no CPU; on an idle core CPU and wall time coincide), and the
 	// per-segment minimum discards the segments whose cache and branch
@@ -219,8 +153,10 @@ func runAllocChurn(impl string, occPct, g, iters int,
 				h, set, rng := handles[t], live[t], rngs[t]
 				for i := 0; i < n; i++ {
 					j := rng.Intn(len(set))
-					h.free(set[j])
-					if set[j] = h.alloc(); set[j] == pmem.Null {
+					if err := h.Free(set[j]); err != nil {
+						panic(err)
+					}
+					if set[j] = h.Alloc(); set[j] == pmem.Null {
 						panic("bench: churn alloc failed at steady-state occupancy")
 					}
 				}
@@ -236,162 +172,6 @@ func runAllocChurn(impl string, occPct, g, iters int,
 		}
 		done = end
 	}
-	name := "alloc-churn-" + impl + "@" + strconv.Itoa(occPct)
+	name := "alloc-churn-freestack@" + strconv.Itoa(occPct)
 	return statPoint(name, "fast", g, bestNs, p.Snapshot().Sub(base), total)
-}
-
-// newFreeStackChurn builds the internal/rmm allocator: the same total
-// capacity as the baseline, split into chunks so handles spread across
-// independent free-stacks and bitmap lines.
-func newFreeStackChurn(p *pmem.Pool) func(ctx *pmem.ThreadCtx) churnHandle {
-	a := rmm.NewGrowable(p, allocChurnBlockWords, allocChurnBlocks/allocChurnChunks, allocChurnChunks, 0)
-	return func(ctx *pmem.ThreadCtx) churnHandle {
-		return freeStackHandle{a.Handle(ctx)}
-	}
-}
-
-type freeStackHandle struct{ h *rmm.Handle }
-
-func (f freeStackHandle) alloc() pmem.Addr { return f.h.Alloc() }
-
-func (f freeStackHandle) free(b pmem.Addr) {
-	if err := f.h.Free(b); err != nil {
-		panic(err)
-	}
-}
-
-// bitmapChurn is the replaced design: one flat bitmap, a shared cursor
-// handing out fixed windows, and a word-at-a-time scan inside the window.
-// The reconstruction keeps the shipped implementation's full cost
-// profile: the per-word scan accounting (scanWords), the double-free
-// guard in free, and the exhausted-window wrap-skip hint with its
-// bookkeeping — the hint only pays off at near-exhaustion, but the seed
-// paid its bookkeeping at every occupancy, so the baseline does too.
-type bitmapChurn struct {
-	bitmap    pmem.Addr
-	blocks    pmem.Addr
-	cursor    atomic.Int64
-	scanWords atomic.Uint64
-	site      pmem.Site
-}
-
-func newBitmapChurn(p *pmem.Pool) func(ctx *pmem.ThreadCtx) churnHandle {
-	boot := p.NewThread(0)
-	b := &bitmapChurn{
-		bitmap: boot.AllocLines(allocChurnBlocks / 64 / pmem.LineWords),
-		blocks: boot.AllocLines(allocChurnBlocks * allocChurnBlockWords / pmem.LineWords),
-		site:   p.RegisterSite("bench/alloc-bitmap"),
-	}
-	return func(ctx *pmem.ThreadCtx) churnHandle {
-		return &bitmapHandle{b: b, ctx: ctx}
-	}
-}
-
-type bitmapHandle struct {
-	b          *bitmapChurn
-	ctx        *pmem.ThreadCtx
-	lo, hi     int64 // reserved window in unwrapped cursor space
-	exLo, exHi int64 // last window scanned to exhaustion (wrap-skip hint)
-}
-
-// trimExhausted is the seed's wrap-skip hint: the new lower bound of
-// window [lo, hi) after skipping the prefix whose blocks lie in the
-// exhausted window [exLo, exHi) taken modulo n.
-func trimExhausted(lo, hi, exLo, exHi, n int64) int64 {
-	if exHi <= exLo || lo >= hi {
-		return lo
-	}
-	for {
-		k := (lo - exLo) / n
-		if k < 1 {
-			return lo
-		}
-		imgLo, imgHi := exLo+k*n, exHi+k*n
-		if lo < imgLo || lo >= imgHi {
-			return lo
-		}
-		lo = imgHi
-		if lo >= hi {
-			return hi
-		}
-	}
-}
-
-func (h *bitmapHandle) alloc() pmem.Addr {
-	b, c := h.b, h.ctx
-	const n = int64(allocChurnBlocks)
-	budget := 2 * n // two laps: one full examination plus race absorption
-	for used := int64(0); used < budget; {
-		if h.lo >= h.hi {
-			start := b.cursor.Add(allocChurnWindow) - allocChurnWindow
-			h.lo, h.hi = start, start+allocChurnWindow
-			if used < n { // hint applies on the first lap only
-				trimmed := trimExhausted(h.lo, h.hi, h.exLo, h.exHi, n)
-				used += trimmed - h.lo
-				h.lo = trimmed
-				if h.lo >= h.hi {
-					continue
-				}
-			}
-		}
-		winLo := h.lo
-		for h.lo < h.hi {
-			blk := h.lo % n
-			bit := blk % 64
-			w := b.bitmap + pmem.Addr(blk/64*pmem.WordSize)
-			span := 64 - bit
-			if rem := h.hi - h.lo; rem < span {
-				span = rem
-			}
-			mask := ^uint64(0)
-			if span < 64 {
-				mask = (1<<uint(span) - 1) << uint(bit)
-			}
-			v := c.Load(w)
-			b.scanWords.Add(1)
-			free := ^v & mask
-			if free == 0 {
-				h.lo += span
-				used += span
-				continue
-			}
-			fb := int64(bits.TrailingZeros64(free))
-			if !c.CAS(w, v, v|1<<uint(fb)) {
-				used++
-				continue
-			}
-			h.lo += fb - bit + 1
-			c.PWB(b.site, w)
-			c.PSync()
-			addr := b.blocks + pmem.Addr((blk-bit+fb)*allocChurnBlockWords*pmem.WordSize)
-			for off := 0; off < allocChurnBlockWords; off++ {
-				c.Store(addr+pmem.Addr(off*pmem.WordSize), 0)
-			}
-			return addr
-		}
-		// Window exhausted without an allocation: record it for the
-		// wrap-skip hint unless it spans a whole lap.
-		if h.hi-winLo < n {
-			h.exLo, h.exHi = winLo, h.hi
-		}
-	}
-	return pmem.Null
-}
-
-func (h *bitmapHandle) free(addr pmem.Addr) {
-	b, c := h.b, h.ctx
-	blk := int64(addr-b.blocks) / (allocChurnBlockWords * pmem.WordSize)
-	w := b.bitmap + pmem.Addr(blk/64*pmem.WordSize)
-	mask := uint64(1) << uint(blk%64)
-	for {
-		v := c.Load(w)
-		if v&mask == 0 {
-			panic("bench: double free in bitmap baseline")
-		}
-		if c.CAS(w, v, v&^mask) {
-			break
-		}
-	}
-	c.PWB(b.site, w)
-	c.PSync()
 }

@@ -1,27 +1,22 @@
 package bench
 
 import (
-	"strings"
+	"fmt"
 	"testing"
 )
 
 // TestAllocChurnReportShape pins the churn matrix: every occupancy level
-// yields a freestack/bitmap pair per concurrency level, each with the one
-// persist pair per operation both designs promise.
+// yields one rmm free-stack point per concurrency level, each with the one
+// persist pair per operation the allocator promises.
 func TestAllocChurnReportShape(t *testing.T) {
 	rep := AllocChurnReport([]int{2}, 1)
 	occ := allocChurnOccupancies()
-	if want := 2 * len(occ); len(rep.Points) != want {
-		t.Fatalf("got %d points, want %d", len(rep.Points), want)
+	if len(rep.Points) != len(occ) {
+		t.Fatalf("got %d points, want %d", len(rep.Points), len(occ))
 	}
 	for i, pt := range rep.Points {
-		wantImpl := "freestack"
-		if i%2 == 1 {
-			wantImpl = "bitmap"
-		}
-		wantOp := "alloc-churn-" + wantImpl
-		if !strings.HasPrefix(pt.Op, wantOp+"@") {
-			t.Errorf("point %d: op %q, want prefix %q", i, pt.Op, wantOp+"@")
+		if want := fmt.Sprintf("alloc-churn-freestack@%d", occ[i]); pt.Op != want {
+			t.Errorf("point %d: op %q, want %q", i, pt.Op, want)
 		}
 		if pt.Goroutines != 2 || pt.Mode != "fast" {
 			t.Errorf("point %d: %+v, want goroutines=2 mode=fast", i, pt)
@@ -29,8 +24,8 @@ func TestAllocChurnReportShape(t *testing.T) {
 		if pt.NsPerOp <= 0 {
 			t.Errorf("point %d: ns_per_op %v", i, pt.NsPerOp)
 		}
-		// Identical persistence per operation is the premise that makes
-		// the wall-clock comparison about metadata work alone.
+		// One bitmap-bit persist pair per operation is the allocator's
+		// durability contract (see docs/allocator.md).
 		if pt.PWBsPerOp != 1 || pt.PSyncsPerOp != 1 {
 			t.Errorf("point %d (%s): %v pwbs, %v psyncs per op, want 1 and 1",
 				i, pt.Op, pt.PWBsPerOp, pt.PSyncsPerOp)

@@ -255,10 +255,7 @@ func applySiteConfig(pool *pmem.Pool, cfg Config) {
 		pool.SetPsyncEnabled(false)
 	}
 	if cfg.BatchOps > 0 {
-		pool.SetBatchPolicy(pmem.BatchConfig{
-			MaxOps:   cfg.BatchOps,
-			MaxLines: 4 * cfg.BatchOps,
-		})
+		pool.SetBatchPolicy(cfg.BatchOps)
 	}
 	if cfg.FlushAvoid {
 		pool.SetFlushAvoid(true)

@@ -52,7 +52,7 @@ func siteWinRun(setup func(p *pmem.Pool, ctx *pmem.ThreadCtx, batchOps int) func
 			}
 		}
 		if batchOps > 0 {
-			p.SetBatchPolicy(batchPolicy(batchOps))
+			p.SetBatchPolicy(batchOps)
 		}
 		start := time.Now()
 		for i := 0; i < siteWinOps; i++ {

@@ -188,20 +188,13 @@ func modeName(m pmem.Mode) string {
 	return "fast"
 }
 
-// batchPolicy is the ambient policy every batched measurement installs:
-// batchOps operations per group sync, a line buffer sized to hold a few
-// operations' worth of distinct lines.
-func batchPolicy(batchOps int) pmem.BatchConfig {
-	return pmem.BatchConfig{MaxOps: batchOps, MaxLines: 4 * batchOps}
-}
-
 // runSubstrateOp partitions total operations over g goroutines, each with
 // a private ThreadCtx and line-aligned region, and times the whole batch.
 func runSubstrateOp(op substrateOp, g, total, batchOps int) SubstratePoint {
 	p := pmem.New(pmem.Config{Mode: op.mode, CapacityWords: 1 << 16, MaxThreads: g + 1})
 	s := p.RegisterSite("substrate/" + op.name)
 	if op.batch {
-		p.SetBatchPolicy(batchPolicy(batchOps))
+		p.SetBatchPolicy(batchOps)
 	}
 	ctxs := make([]*pmem.ThreadCtx, g)
 	bases := make([]pmem.Addr, g)
@@ -296,7 +289,7 @@ func measureCommitPath(name string, total, batchOps int,
 	ctx := p.NewThread(1)
 	body := setup(p, ctx, batchOps)
 	if batchOps > 0 {
-		p.SetBatchPolicy(batchPolicy(batchOps))
+		p.SetBatchPolicy(batchOps)
 	}
 	base := p.Snapshot()
 	start := time.Now()

@@ -85,11 +85,11 @@ type Config struct {
 	// BatchOps, when positive, installs an ambient write-combining policy
 	// (pmem.Pool.SetBatchPolicy) on every task pool, batching that many
 	// operations per group-sync epoch. The sweep runs in ModeStrict, where
-	// batching is bookkeeping-only by construction: write-backs are
-	// captured at the record point and psyncs commit immediately, so the
-	// crash-state space, verdicts, and deterministic task metrics must be
-	// identical to an unbatched sweep. crashtest -sweep -batch-ops
-	// -compare is the CI gate that holds this invariant.
+	// batching is inert by construction: no epoch defers anything,
+	// write-backs are captured at the record point and psyncs commit
+	// immediately, so the crash-state space, verdicts, and deterministic
+	// task metrics must be identical to an unbatched sweep. crashtest
+	// -sweep -batch-ops -compare is the CI gate that holds this invariant.
 	BatchOps int
 	// FlushAvoid, when true, installs link-and-persist flush avoidance
 	// (pmem.Pool.SetFlushAvoid) on every task pool. The sweep runs in
@@ -331,7 +331,7 @@ func (cfg *Config) newTaskPool(a *Adapter, threads int) *pmem.Pool {
 		MaxThreads:    threads + 2,
 	})
 	if cfg.BatchOps > 0 {
-		pool.SetBatchPolicy(pmem.BatchConfig{MaxOps: cfg.BatchOps, MaxLines: 4 * cfg.BatchOps})
+		pool.SetBatchPolicy(cfg.BatchOps)
 	}
 	if cfg.FlushAvoid {
 		pool.SetFlushAvoid(true)

@@ -1,7 +1,5 @@
 package pmem
 
-import "fmt"
-
 // Cross-operation persistence batching: a per-thread write-combining
 // buffer that records pwb'd lines instead of charging them immediately,
 // merging duplicate flushes across operations up to a bounded epoch, plus
@@ -18,69 +16,44 @@ import "fmt"
 //     SetCrashAtSite's hit countdown — so the deterministic sweep's site
 //     profile, its (site, hit) task matrix, and its per-task instruction
 //     metrics are identical with batching on or off.
-//   - ModeStrict defers nothing. Write-backs are captured at PWB time and
-//     committed at PSync time exactly as without batching, so the durable
-//     states reachable at every psync boundary — the crash-state space the
-//     sweep enumerates — are byte-identical. In strict mode the buffer is
-//     pure bookkeeping (merge opportunity counters, the retire guard).
+//   - ModeStrict has no batching at all. Write-backs are captured at PWB
+//     time and committed at PSync time exactly as without batching, so the
+//     durable states reachable at every psync boundary — the crash-state
+//     space the sweep enumerates — are byte-identical. No ambient epoch
+//     opens, the buffer stays empty, and every batching and elision
+//     counter reads zero; BeginBatch/EndBatch only track nesting.
 //   - ModeFast is where deferral is real: a batched PWB records its line
 //     and skips the charge; a batched PSync defers its sync. The drain
 //     charges each distinct line once and executes one sync for the whole
-//     group. Deferral is bounded by BatchConfig, and a drain runs at epoch
-//     close (EndBatch), at the configured bounds, and at thread retire.
+//     group. Deferral is bounded by one number, the epoch's op count (the
+//     line bound is four times it), and a drain runs at epoch close
+//     (EndBatch), at either bound, and at thread retire.
 //
 // Batching is opt-in per thread (BeginBatch/EndBatch) or ambient per pool
 // (SetBatchPolicy); with neither, every path in this file is skipped and
 // the per-instruction cost model is exactly the unbatched one.
 
-// Default epoch bounds, applied where a BatchConfig field is zero. The
-// line bound is sized like a real write-combining structure: small enough
-// that the dedup scan stays in one or two cache lines of indices.
-const (
-	DefaultBatchLines = 32
-	DefaultBatchOps   = 8
-)
-
-// BatchConfig bounds one write-combining epoch. Zero fields take the
-// package defaults; the zero value as a whole passed to SetBatchPolicy
-// disables the ambient policy.
-type BatchConfig struct {
-	// MaxLines drains the deferred line charges (without closing the
-	// epoch) once this many distinct lines are buffered.
-	MaxLines int
-	// MaxOps drains — charges plus one group sync — once this many
-	// psyncs have been deferred in the epoch.
-	MaxOps int
-}
-
-func (cfg BatchConfig) withDefaults() BatchConfig {
-	if cfg.MaxLines <= 0 {
-		cfg.MaxLines = DefaultBatchLines
-	}
-	if cfg.MaxOps <= 0 {
-		cfg.MaxOps = DefaultBatchOps
-	}
-	return cfg
-}
-
-// Active reports whether the config enables batching at all: the ambient
-// pool policy treats the zero value as "off", and batch-aware structures
-// test the pool's policy with it to decide whether to open their own
-// epochs.
-func (cfg BatchConfig) Active() bool { return cfg.MaxLines > 0 || cfg.MaxOps > 0 }
+// DefaultBatchOps is the epoch bound applied where a batch op count is
+// not positive (BeginBatch(0)). An epoch's line bound is always four times
+// its op bound: room for a few operations' distinct lines, while the dedup
+// scan stays in one or two cache lines of indices.
+const DefaultBatchOps = 8
 
 // BeginBatch opens (or, nested, joins) a write-combining epoch on this
-// thread. Until the matching EndBatch, ModeFast write-back charges are
-// deferred into a per-thread buffer that merges duplicate lines across
-// operations, and psyncs are deferred into one group sync; the configured
-// bounds force intermediate drains so deferral stays bounded. ModeStrict
-// durability semantics are unchanged inside a batch (see the file
-// comment). Nested BeginBatch joins the enclosing epoch; the inner cfg is
-// ignored.
-func (ctx *ThreadCtx) BeginBatch(cfg BatchConfig) {
+// thread that drains after ops deferred psyncs (DefaultBatchOps when ops
+// is not positive) or 4*ops distinct deferred lines. Until the matching
+// EndBatch, ModeFast write-back charges are deferred into a per-thread
+// buffer that merges duplicate lines across operations, and psyncs are
+// deferred into one group sync. ModeStrict is unchanged inside a batch
+// (see the file comment). Nested BeginBatch joins the enclosing epoch;
+// the inner ops is ignored.
+func (ctx *ThreadCtx) BeginBatch(ops int) {
 	ctx.pool.checkCrash()
 	if ctx.batchDepth == 0 {
-		ctx.batchCfg = cfg.withDefaults()
+		if ops <= 0 {
+			ops = DefaultBatchOps
+		}
+		ctx.batchOps = ops
 	}
 	ctx.batchDepth++
 }
@@ -103,62 +76,50 @@ func (ctx *ThreadCtx) EndBatch() {
 // (explicitly via BeginBatch or ambiently via the pool's batch policy).
 func (ctx *ThreadCtx) InBatch() bool { return ctx.batchDepth > 0 }
 
-// DeferredLines reports how many distinct lines are currently recorded in
-// the write-combining buffer (diagnostics; in ModeStrict the lines are
-// already captured in the pending queue and nothing is owed).
+// DeferredLines reports how many distinct lines are currently deferred in
+// the write-combining buffer (diagnostics; always 0 in ModeStrict).
 func (ctx *ThreadCtx) DeferredLines() int { return len(ctx.wcLines) }
 
 // Retire ends this context's participation in the simulation: an open
 // write-combining epoch is drained (deferred charges execute, a deferred
 // group sync runs) and closed, so no simulated persistence work leaks when
-// a worker exits between psyncs. Under SetBatchDebug the drain is replaced
-// by a panic, to catch harnesses that leak open batches. Retire is
-// idempotent; it does not commit ModeStrict pending write-backs (those are
-// owed to the algorithm's own psync discipline, not to thread exit).
+// a worker exits between psyncs. Retire is idempotent; it does not commit
+// ModeStrict pending write-backs (those are owed to the algorithm's own
+// psync discipline, not to thread exit).
 func (ctx *ThreadCtx) Retire() {
-	if ctx.batchDepth == 0 && len(ctx.wcLines) == 0 && ctx.wcOps == 0 {
-		return
-	}
-	if ctx.pool.batchDebug.Load() {
-		panic(fmt.Sprintf("pmem: thread %d retired with an open batch (%d deferred lines, %d deferred psyncs)",
-			ctx.tid, len(ctx.wcLines), ctx.wcOps))
-	}
 	ctx.batchDepth = 0
 	ctx.autoOpened = false
 	ctx.drainWC(true)
 }
 
-// SetBatchPolicy installs (or, with the zero config, removes) an ambient
+// SetBatchPolicy installs (or, with ops <= 0, removes) an ambient
 // write-combining policy: every thread of the pool behaves as if its op
-// stream ran inside one long BeginBatch with cfg's bounds, draining at
-// MaxLines/MaxOps instead of at an explicit EndBatch. The change
-// propagates through the site-table generation, so a running thread
-// adopts it at its next site check. This is the opt-in batched-op mode
-// the bench runner exposes for structures whose code is not batch-aware.
-func (p *Pool) SetBatchPolicy(cfg BatchConfig) {
-	if cfg.Active() {
-		cfg = cfg.withDefaults()
-	} else {
-		cfg = BatchConfig{}
-	}
+// stream ran inside one long BeginBatch(ops), draining at the epoch bounds
+// instead of at an explicit EndBatch. The change propagates through the
+// site-table generation, so a running thread adopts it at its next site
+// check. This is the opt-in batched-op mode the bench runner exposes for
+// structures whose code is not batch-aware.
+func (p *Pool) SetBatchPolicy(ops int) {
 	p.mu.Lock()
-	p.batchPolicy = cfg
+	p.batchPolicy = max(ops, 0)
 	p.bumpSiteGen()
 	p.mu.Unlock()
 }
 
-// BatchPolicy returns the ambient write-combining policy (zero when none).
-func (p *Pool) BatchPolicy() BatchConfig {
+// BatchPolicy returns the ambient write-combining policy's op bound (0
+// when none).
+func (p *Pool) BatchPolicy() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.batchPolicy
 }
 
-// SetBatchDebug toggles the retire guard's debug mode: with it on,
-// retiring a thread whose write-combining buffer is non-empty panics
-// instead of draining, so tests can pin down the harness that leaked the
-// open batch.
-func (p *Pool) SetBatchDebug(on bool) { p.batchDebug.Store(on) }
+// inEpoch reports whether a write-combining epoch is open, opening an
+// ambient one from the cached pool policy when there is none. Only the
+// ModeFast cost paths ask: strict mode has no batching bookkeeping.
+func (ctx *ThreadCtx) inEpoch() bool {
+	return ctx.batchDepth > 0 || (ctx.autoBatch > 0 && ctx.autoBatchOpen())
+}
 
 // autoBatchOpen opens an ambient batch from the cached pool policy.
 // Called on the persistence paths when no batch is open; reports whether
@@ -168,10 +129,7 @@ func (p *Pool) SetBatchDebug(on bool) { p.batchDebug.Store(on) }
 //
 //go:noinline
 func (ctx *ThreadCtx) autoBatchOpen() bool {
-	if !ctx.autoBatch.Active() {
-		return false
-	}
-	ctx.batchCfg = ctx.autoBatch
+	ctx.batchOps = ctx.autoBatch
 	ctx.batchDepth = 1
 	ctx.autoOpened = true
 	return true
@@ -181,7 +139,7 @@ func (ctx *ThreadCtx) autoBatchOpen() bool {
 // write-combining buffer instead of charging it. A line already buffered
 // is merged (its charge is eliminated); hitting the line bound drains the
 // charges but keeps the epoch open. The dedup scan is linear over at most
-// MaxLines int entries — a few cache lines of indices, like the small
+// 4*batchOps int entries — a few cache lines of indices, like the small
 // write-combining structures it models.
 func (ctx *ThreadCtx) deferPWB(line int) {
 	ctx.pwbsDeferred.Add(1)
@@ -192,43 +150,26 @@ func (ctx *ThreadCtx) deferPWB(line int) {
 		}
 	}
 	ctx.wcLines = append(ctx.wcLines, line)
-	if len(ctx.wcLines) >= ctx.batchCfg.MaxLines {
+	if len(ctx.wcLines) >= 4*ctx.batchOps {
 		ctx.drainWC(false)
 	}
-}
-
-// recordWCLine is the ModeStrict twin of deferPWB: pure bookkeeping (the
-// write-back was already captured into the pending queue at the usual
-// record point), tracking the merge opportunity the fast-mode cost model
-// would realize. No charge exists in strict mode, so no bound triggers a
-// charge drain; the buffer is reset at every psync (strict psyncs always
-// retain their semantics) and by EndBatch/Retire.
-func (ctx *ThreadCtx) recordWCLine(line int) {
-	ctx.pwbsDeferred.Add(1)
-	for _, l := range ctx.wcLines {
-		if l == line {
-			ctx.pwbsMerged.Add(1)
-			return
-		}
-	}
-	ctx.wcLines = append(ctx.wcLines, line)
 }
 
 // deferPSync defers a fast-mode psync into the epoch's group sync and
 // drains the epoch when the op bound is reached.
 func (ctx *ThreadCtx) deferPSync() {
 	ctx.wcOps++
-	if ctx.wcOps >= ctx.batchCfg.MaxOps {
+	if ctx.wcOps >= ctx.batchOps {
 		ctx.drainWC(true)
 	}
 }
 
-// drainWC executes the deferred persistence work of the open epoch. In
-// ModeFast each distinct buffered line is charged once (the write-combined
-// flush) and, when sync is set and psyncs were deferred, one group sync
-// executes for all of them. In ModeStrict nothing was deferred, so the
-// drain only resets the bookkeeping. The epoch stays open (only EndBatch
-// and Retire close it); bounds-triggered drains reuse it.
+// drainWC executes the deferred persistence work of the open epoch: each
+// distinct buffered line is charged once (the write-combined flush) and,
+// when sync is set and psyncs were deferred, one group sync executes for
+// all of them. Only ModeFast ever defers, so a strict-mode drain finds
+// nothing. The epoch stays open (only EndBatch and Retire close it);
+// bounds-triggered drains reuse it.
 func (ctx *ThreadCtx) drainWC(sync bool) {
 	p := ctx.pool
 	if len(ctx.wcLines) == 0 && ctx.wcOps == 0 {
@@ -236,20 +177,18 @@ func (ctx *ThreadCtx) drainWC(sync bool) {
 	}
 	ctx.batchDrains.Add(1)
 	stall := 0
-	if p.mode == ModeFast {
-		for _, l := range ctx.wcLines {
-			stall += ctx.chargePWB(l)
-		}
-		if ctx.faOn {
-			// A drain is a psync-like boundary for the flushed-line memo:
-			// the failure-free window the memo describes closes with it.
-			ctx.memoClear()
-		}
+	for _, l := range ctx.wcLines {
+		stall += ctx.chargePWB(l)
+	}
+	if ctx.faOn {
+		// A drain is a psync-like boundary for the flushed-line memo:
+		// the failure-free window the memo describes closes with it.
+		ctx.memoClear()
 	}
 	ctx.wcLines = ctx.wcLines[:0]
 	// An ambient epoch whose policy has been removed closes at its next
 	// drain instead of living until retire.
-	if ctx.autoOpened && ctx.batchDepth == 1 && !ctx.autoBatch.Active() {
+	if ctx.autoOpened && ctx.batchDepth == 1 && ctx.autoBatch == 0 {
 		ctx.batchDepth = 0
 		ctx.autoOpened = false
 	}
@@ -261,7 +200,7 @@ func (ctx *ThreadCtx) drainWC(sync bool) {
 	if merged > 0 {
 		ctx.psyncsMerged.Add(uint64(merged))
 	}
-	if p.mode == ModeFast && p.psyncEnabled.Load() {
+	if p.psyncEnabled.Load() {
 		ctx.psyncs.Add(1)
 		spin(p.cost.PSyncCost)
 		ctx.spun.Add(uint64(p.cost.PSyncCost))

@@ -16,7 +16,7 @@ func TestBatchMergesDuplicateCharges(t *testing.T) {
 	a := ctx.AllocLines(1)
 
 	base := p.Snapshot()
-	ctx.BeginBatch(BatchConfig{MaxLines: 16, MaxOps: 64})
+	ctx.BeginBatch(4) // line bound 16
 	for i := 0; i < 10; i++ {
 		ctx.PWB(s, a)
 	}
@@ -48,8 +48,8 @@ func TestBatchGroupPSync(t *testing.T) {
 	a := ctx.AllocLines(1)
 
 	base := p.Snapshot()
-	ctx.BeginBatch(BatchConfig{MaxLines: 64, MaxOps: 4})
-	for op := 0; op < 8; op++ { // 8 ops, MaxOps=4: two bound-triggered drains
+	ctx.BeginBatch(4)
+	for op := 0; op < 8; op++ { // 8 ops, op bound 4: two bound-triggered drains
 		ctx.PWB(s, a)
 		ctx.PSync()
 	}
@@ -71,12 +71,12 @@ func TestBatchMaxLinesDrainsMidEpoch(t *testing.T) {
 	a := ctx.AllocLines(8)
 
 	base := p.Snapshot()
-	ctx.BeginBatch(BatchConfig{MaxLines: 4, MaxOps: 64})
+	ctx.BeginBatch(1) // line bound 4; no psync, so the op bound never fires
 	for i := 0; i < 8; i++ {
 		ctx.PWB(s, a+Addr(i*LineWords*WordSize))
 	}
 	if got := ctx.DeferredLines(); got != 0 && got != 4 {
-		t.Fatalf("deferred lines after 8 distinct flushes with MaxLines=4: %d", got)
+		t.Fatalf("deferred lines after 8 distinct flushes with line bound 4: %d", got)
 	}
 	if !ctx.InBatch() {
 		t.Fatal("bound-triggered drain must keep the epoch open")
@@ -96,14 +96,15 @@ func TestBatchNesting(t *testing.T) {
 	p := newFast(t)
 	ctx := p.NewThread(0)
 	s := p.RegisterSite("s")
-	a := ctx.AllocLines(1)
+	a := ctx.AllocLines(4)
 
-	ctx.BeginBatch(BatchConfig{})
-	ctx.BeginBatch(BatchConfig{MaxLines: 1}) // inner cfg ignored
-	ctx.PWB(s, a)
-	ctx.PWB(s, a)
+	ctx.BeginBatch(0)
+	ctx.BeginBatch(1) // inner bound ignored: its 4-line bound would drain below
+	for i := 0; i < 4; i++ {
+		ctx.PWB(s, a+Addr(i*LineWords*WordSize))
+	}
 	ctx.EndBatch()
-	if !ctx.InBatch() || ctx.DeferredLines() != 1 {
+	if !ctx.InBatch() || ctx.DeferredLines() != 4 {
 		t.Fatalf("inner EndBatch drained the epoch: inBatch=%v deferred=%d",
 			ctx.InBatch(), ctx.DeferredLines())
 	}
@@ -124,7 +125,7 @@ func TestBatchNesting(t *testing.T) {
 
 func TestBatchPolicyAmbient(t *testing.T) {
 	p := newFast(t)
-	p.SetBatchPolicy(BatchConfig{MaxLines: 16, MaxOps: 4})
+	p.SetBatchPolicy(4)
 	ctx := p.NewThread(0)
 	s := p.RegisterSite("s")
 	a := ctx.AllocLines(1)
@@ -141,7 +142,7 @@ func TestBatchPolicyAmbient(t *testing.T) {
 	}
 
 	// Removing the policy closes the ambient epoch at its next drain.
-	p.SetBatchPolicy(BatchConfig{})
+	p.SetBatchPolicy(0)
 	ctx.PWB(s, a)
 	ctx.PSync() // still in the stale epoch or already unbatched; either way:
 	ctx.Retire()
@@ -171,11 +172,11 @@ func TestBatchedPsyncDisabledStillDrainsInStrictMode(t *testing.T) {
 	s := p.RegisterSite("test")
 	a := ctx.AllocWords(1)
 
-	ctx.BeginBatch(BatchConfig{})
+	ctx.BeginBatch(0)
 	ctx.Store(a, 3)
 	ctx.PWB(s, a)
-	if ctx.DeferredLines() != 1 {
-		t.Fatalf("deferred lines = %d, want 1 recorded", ctx.DeferredLines())
+	if ctx.DeferredLines() != 0 {
+		t.Fatalf("deferred lines = %d, want 0 (strict mode defers nothing)", ctx.DeferredLines())
 	}
 	ctx.PSync()
 	if v := p.DurableLoad(a); v != 3 {
@@ -199,7 +200,7 @@ func TestBatchedPsyncDisabledFastModeStillChargesFlushes(t *testing.T) {
 	a := ctx.AllocLines(1)
 
 	base := p.Snapshot()
-	ctx.BeginBatch(BatchConfig{})
+	ctx.BeginBatch(0)
 	ctx.PWB(s, a)
 	ctx.PSync()
 	ctx.EndBatch()
@@ -221,7 +222,7 @@ func TestRetireDrainsOpenBatch(t *testing.T) {
 	a := ctx.AllocLines(1)
 
 	base := p.Snapshot()
-	ctx.BeginBatch(BatchConfig{MaxLines: 64, MaxOps: 64})
+	ctx.BeginBatch(64)
 	ctx.PWB(s, a)
 	ctx.PSync()
 	ctx.Retire() // EndBatch never called: retire must flush the epoch
@@ -234,25 +235,6 @@ func TestRetireDrainsOpenBatch(t *testing.T) {
 			d.PSyncs, ctx.InBatch(), ctx.DeferredLines())
 	}
 	ctx.Retire() // idempotent
-}
-
-func TestRetirePanicsUnderBatchDebug(t *testing.T) {
-	p := newFast(t)
-	p.SetBatchDebug(true)
-	ctx := p.NewThread(0)
-	s := p.RegisterSite("s")
-	a := ctx.AllocLines(1)
-
-	ctx.Retire() // empty buffer: no panic even under debug
-
-	ctx.BeginBatch(BatchConfig{})
-	ctx.PWB(s, a)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("retire with open batch did not panic under SetBatchDebug")
-		}
-	}()
-	ctx.Retire()
 }
 
 // --- satellite c: property test ---
@@ -290,7 +272,7 @@ func runEquivalenceSeed(seed int) error {
 		return New(Config{Mode: ModeStrict, CapacityWords: 1 << 12, MaxThreads: 2})
 	}
 	plain, batched := newPool(), newPool()
-	batched.SetBatchPolicy(BatchConfig{MaxLines: 8, MaxOps: 3})
+	batched.SetBatchPolicy(3)
 
 	pctx, bctx := plain.NewThread(0), batched.NewThread(0)
 	ps, bs := plain.RegisterSite("op"), batched.RegisterSite("op")
@@ -331,7 +313,7 @@ func runEquivalenceSeed(seed int) error {
 			if explicit {
 				bctx.EndBatch()
 			} else {
-				bctx.BeginBatch(BatchConfig{MaxLines: 4, MaxOps: 2})
+				bctx.BeginBatch(2)
 			}
 			explicit = !explicit
 		}

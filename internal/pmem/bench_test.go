@@ -149,7 +149,7 @@ func BenchmarkBatchedPWB(b *testing.B) {
 	for _, g := range benchGoroutines {
 		b.Run(fmt.Sprintf("g=%d", g), func(b *testing.B) {
 			runSubstrateBench(b, ModeFast, g, 0, func(ctx *ThreadCtx, s Site, base Addr, n int) {
-				ctx.BeginBatch(BatchConfig{})
+				ctx.BeginBatch(0)
 				for i := 0; i < n; i++ {
 					ctx.PWB(s, laneAddr(base, i))
 				}

@@ -48,10 +48,12 @@ func (p *Pool) Crash(pol CrashPolicy) {
 	p.mu.Unlock()
 
 	if pol.CommitAll {
+		// Nothing in flight was lost: every scheduled write-back completed
+		// and every dirty line was evicted with its content at crash time.
 		for _, ctx := range ctxs {
 			ctx.commitPending()
 		}
-		p.evictAll()
+		p.evictDirty(ctxs, func() bool { return true })
 		p.emitPoolEvent(EventCrashResolved, NoSite, 1)
 		return
 	}
@@ -60,7 +62,7 @@ func (p *Pool) Crash(pol CrashPolicy) {
 	// backs its thread fenced before it have completed, so evicting a line
 	// forces completion of its last writer's scheduled write-backs.
 	if pol.Rng != nil && pol.EvictProb > 0 {
-		p.evictDirty(ctxs, pol)
+		p.evictDirty(ctxs, func() bool { return pol.Rng.Float64() < pol.EvictProb })
 	}
 	for _, ctx := range ctxs {
 		p.crashThread(ctx, pol)
@@ -74,17 +76,11 @@ func (p *Pool) crashThread(ctx *ThreadCtx, pol CrashPolicy) {
 	pending := ctx.pending
 	ctx.pending = nil
 	ctx.epochStart = 0
-	// The crash consumes any open write-combining epoch with the thread:
-	// in strict mode the buffer was bookkeeping only (every recorded line
-	// is in pending, adjudicated below), so nothing durable is lost.
-	ctx.wcLines = nil
-	ctx.wcOps = 0
+	// The crash consumes any open batch epoch with the thread. Strict
+	// contexts never defer a write-back or memoize a flush, so every
+	// recorded line is in pending, adjudicated below.
 	ctx.batchDepth = 0
 	ctx.autoOpened = false
-	// The flushed-line memo describes a failure-free window; a crash ends
-	// it by definition (strict pools never populate it, but the reset keeps
-	// crashThread total).
-	ctx.memoClear()
 	if len(pending) == 0 {
 		return
 	}
@@ -116,32 +112,16 @@ func (p *Pool) crashThread(ctx *ThreadCtx, pol CrashPolicy) {
 	}
 }
 
-// evictAll writes back every dirty line with its content at crash time
-// (the CommitAll adversary: nothing in flight was lost).
-func (p *Pool) evictAll() {
+// evictDirty models cache eviction: each dirty line for which evict
+// reports true is written back with its content at crash time. Evicting a
+// line first completes the scheduled write-backs of the line's last
+// writer, because that thread's evicted store could only have reached the
+// cache after its earlier fenced flushes completed (sfence ordering on the
+// modelled hardware).
+func (p *Pool) evictDirty(ctxs []*ThreadCtx, evict func() bool) {
 	limit := (p.AllocatedWords() + LineWords - 1) / LineWords
 	for line := 0; line < limit && line < len(p.dirty); line++ {
-		if atomic.LoadUint32(&p.dirty[line]) == 0 {
-			continue
-		}
-		e := wbEntry{line: line}
-		p.snapLine(&e)
-		p.commitLine(&e)
-	}
-}
-
-// evictDirty models cache eviction: each dirty line may have been written
-// back with its content at crash time. Evicting a line first completes the
-// scheduled write-backs of the line's last writer, because that thread's
-// evicted store could only have reached the cache after its earlier fenced
-// flushes completed (sfence ordering on the modelled hardware).
-func (p *Pool) evictDirty(ctxs []*ThreadCtx, pol CrashPolicy) {
-	limit := (p.AllocatedWords() + LineWords - 1) / LineWords
-	for line := 0; line < limit && line < len(p.dirty); line++ {
-		if atomic.LoadUint32(&p.dirty[line]) == 0 {
-			continue
-		}
-		if pol.Rng.Float64() >= pol.EvictProb {
+		if atomic.LoadUint32(&p.dirty[line]) == 0 || !evict() {
 			continue
 		}
 		if w := atomic.LoadInt32(&p.writer[line]); w != 0 {

@@ -44,15 +44,15 @@ type ThreadCtx struct {
 	teleBuf     []SiteStall // reusable argument buffer for TelemetryPSync
 
 	// Write-combining batch state, owner-only (see batch.go). batchDepth
-	// counts BeginBatch nesting (0 = no open epoch); wcLines holds the
-	// distinct lines recorded in the open epoch; wcOps the deferred group
-	// psyncs; autoBatch is the generation-cached copy of the pool's
-	// ambient batch policy.
+	// counts BeginBatch nesting (0 = no open epoch); batchOps is the open
+	// epoch's op bound; wcLines holds the distinct lines deferred in it;
+	// wcOps the deferred group psyncs; autoBatch is the generation-cached
+	// copy of the pool's ambient batch policy (0 = none).
 	batchDepth int
-	batchCfg   BatchConfig
+	batchOps   int
 	wcLines    []int
 	wcOps      int
-	autoBatch  BatchConfig
+	autoBatch  int
 	autoOpened bool // the open epoch came from the ambient policy
 
 	// Flush-avoidance state, owner-only (see flushavoid.go). faOn is the
@@ -90,9 +90,7 @@ func (p *Pool) NewThread(tid int) *ThreadCtx {
 	ctx := &ThreadCtx{pool: p, tid: tid}
 	p.mu.Lock()
 	ctx.pwbPerSite = make([]atomic.Uint64, len(p.sites))
-	ctx.sink = p.telemetry
-	ctx.autoBatch = p.batchPolicy
-	ctx.faOn = p.flushAvoid && p.mode == ModeFast
+	ctx.adoptLocked()
 	p.ctxs = append(p.ctxs, ctx)
 	p.mu.Unlock()
 	return ctx
@@ -177,33 +175,27 @@ func (ctx *ThreadCtx) AllocLocal(n int) Addr {
 // hot (and small) enough to be worth fitting into the inlining budget,
 // which requires reading crashCtl and wordLimit as direct fields.
 
-// The accessors below fold the crash check, the alignment check and the
-// bounds check into one branch on the common path; see slowpathCheck for
-// the rare cases.
-
 // Store atomically writes v to the word at a in the volatile view and marks
 // its line dirty. The write becomes durable only after a PWB of its line
 // completes (or the line is evicted).
 func (ctx *ThreadCtx) Store(a Addr, v uint64) {
 	p := ctx.pool
-	wi := int(a >> 3)
-	if uint64(p.ctlFast())|(uint64(a)&(WordSize-1)) != 0 ||
-		uint(wi-1) >= uint(len(p.words)-1) {
-		wi = p.slowpathCheck(a)
-	}
+	wi := p.index(a)
 	p.storeWord(wi, v)
 	if p.mode == ModeStrict {
 		ctx.markWrite(wi)
 	}
 }
 
-// markWrite records strict-mode write metadata: a fresh version, the dirty
-// bit, and the writing thread (evictions must respect its fences).
-func (ctx *ThreadCtx) markWrite(wi int) {
+// markWrite records strict-mode write metadata — a fresh version, the
+// dirty bit, and the writing thread (evictions must respect its fences) —
+// and returns the new version.
+func (ctx *ThreadCtx) markWrite(wi int) uint64 {
 	p := ctx.pool
-	atomic.AddUint64(&p.wver[wi], 1)
+	ver := atomic.AddUint64(&p.wver[wi], 1)
 	atomic.StoreUint32(&p.dirty[wi/LineWords], 1)
 	atomic.StoreInt32(&p.writer[wi/LineWords], int32(ctx.tid+1))
+	return ver
 }
 
 // StoreDurable models a system-level failure-atomic persistent store: the
@@ -219,23 +211,17 @@ func (ctx *ThreadCtx) StoreDurable(s Site, a Addr, v uint64) {
 	p.checkCrash()
 	wi := p.wordIndex(a)
 	p.storeWord(wi, v)
+	if p.mode == ModeStrict {
+		// The durable commit is the system's, not a code line's: it
+		// happens even when the site is disabled.
+		p.commitWord(wi, ctx.markWrite(wi), v)
+	}
+	if !ctx.siteOn(s) {
+		return
+	}
+	ctx.countPWB(s)
 	stall := 0
-	switch p.mode {
-	case ModeStrict:
-		atomic.StoreUint32(&p.dirty[wi/LineWords], 1)
-		atomic.StoreInt32(&p.writer[wi/LineWords], int32(ctx.tid+1))
-		ver := atomic.AddUint64(&p.wver[wi], 1)
-		for {
-			dv := atomic.LoadUint64(&p.dver[wi])
-			if ver <= dv {
-				break
-			}
-			if atomic.CompareAndSwapUint64(&p.dver[wi], dv, ver) {
-				atomic.StoreUint64(&p.durable[wi], v)
-				break
-			}
-		}
-	case ModeFast:
+	if p.mode == ModeFast {
 		stall = ctx.chargePWB(wi / LineWords)
 		if ctx.faOn {
 			// The word was stored and flushed as one action: the line is
@@ -243,15 +229,7 @@ func (ctx *ThreadCtx) StoreDurable(s Site, a Addr, v uint64) {
 			ctx.memoInsert(wi / LineWords)
 		}
 	}
-	if ctx.siteOn(s) {
-		ctx.countPWB(s)
-		if ctx.sink != nil {
-			ctx.telePWB(s, stall)
-		}
-		if p.ctlFast()&ctlSiteArm != 0 {
-			ctx.siteHit(s)
-		}
-	}
+	ctx.recordPWB(s, stall)
 }
 
 // CAS atomically compares-and-swaps the word at a and reports success.
@@ -264,11 +242,7 @@ func (ctx *ThreadCtx) StoreDurable(s Site, a Addr, v uint64) {
 // cost is irreducible and part of the modeled instruction mix.
 func (ctx *ThreadCtx) CAS(a Addr, old, new uint64) bool {
 	p := ctx.pool
-	wi := int(a >> 3)
-	if uint64(p.ctlFast())|(uint64(a)&(WordSize-1)) != 0 ||
-		uint(wi-1) >= uint(len(p.words)-1) {
-		wi = p.slowpathCheck(a)
-	}
+	wi := p.index(a)
 	ok := p.casWord(wi, old, new)
 	if ok && p.mode == ModeStrict {
 		ctx.markWrite(wi)
@@ -300,40 +274,7 @@ func (ctx *ThreadCtx) CASV(a Addr, old, new uint64) (prev uint64, ok bool) {
 // The site identifies the issuing code line for the paper's per-site
 // accounting; a disabled site makes the PWB a no-op (the "code line
 // removed" experiments).
-func (ctx *ThreadCtx) PWB(s Site, a Addr) {
-	p := ctx.pool
-	wi := int(a >> 3)
-	if uint64(p.ctlFast())|(uint64(a)&(WordSize-1)) != 0 ||
-		uint(wi-1) >= uint(len(p.words)-1) {
-		wi = p.slowpathCheck(a)
-	}
-	if !ctx.siteOn(s) {
-		return
-	}
-	ctx.countPWB(s)
-	line := wi / LineWords
-	stall := 0
-	if p.mode == ModeStrict {
-		// Strict mode never defers: capture at the record point keeps the
-		// crash-state space identical with batching on or off (batch.go).
-		ctx.captureLine(line)
-		if ctx.batchDepth > 0 || (ctx.autoBatch.Active() && ctx.autoBatchOpen()) {
-			ctx.recordWCLine(line)
-		}
-	} else if ctx.batchDepth > 0 || (ctx.autoBatch.Active() && ctx.autoBatchOpen()) {
-		ctx.deferPWB(line)
-	} else if ctx.faOn {
-		stall = ctx.memoCharge(line)
-	} else {
-		stall = ctx.chargePWB(line)
-	}
-	if ctx.sink != nil {
-		ctx.telePWB(s, stall)
-	}
-	if p.ctlFast()&ctlSiteArm != 0 {
-		ctx.siteHit(s)
-	}
-}
+func (ctx *ThreadCtx) PWB(s Site, a Addr) { ctx.writeBack(s, ctx.pool.index(a), false) }
 
 // PWBRange issues the PWBs needed to write back words [a, a+words*8), one
 // per cache line covered. It models flushing a freshly initialized object.
@@ -343,32 +284,70 @@ func (ctx *ThreadCtx) PWBRange(s Site, a Addr, words int) {
 	}
 	p := ctx.pool
 	p.checkCrash()
-	if !ctx.siteOn(s) {
-		return
-	}
 	first := p.wordIndex(a) / LineWords
 	last := p.wordIndex(a+Addr((words-1)*WordSize)) / LineWords
 	for line := first; line <= last; line++ {
-		ctx.countPWB(s)
-		stall := 0
-		if p.mode == ModeStrict {
-			ctx.captureLine(line)
-			if ctx.batchDepth > 0 || (ctx.autoBatch.Active() && ctx.autoBatchOpen()) {
-				ctx.recordWCLine(line)
-			}
-		} else if ctx.batchDepth > 0 || (ctx.autoBatch.Active() && ctx.autoBatchOpen()) {
-			ctx.deferPWB(line)
-		} else if ctx.faOn {
-			stall = ctx.memoCharge(line)
+		ctx.writeBack(s, line*LineWords, false)
+	}
+}
+
+// writeBack is the one record point and cost dispatch of every algorithm
+// write-back: PWB, PWBRange, PWBFirst and LoadAndPersist's dirty path all
+// come here with the word index wi whose line is written back. A disabled
+// site does nothing. Otherwise the write-back counts against its site and
+// then takes exactly one cost path: ModeStrict captures the line (strict
+// mode never defers, so the crash-state space is the same with batching
+// on or off); an open write-combining epoch defers it into the buffer;
+// flush avoidance may elide it; everything else charges it. first marks a
+// dirty-discipline word (PWBFirst): inside an epoch its tag is cleared so
+// no later observer can also elide the merged write-back, and under flush
+// avoidance only its first observer pays.
+func (ctx *ThreadCtx) writeBack(s Site, wi int, first bool) {
+	if !ctx.siteOn(s) {
+		return
+	}
+	ctx.countPWB(s)
+	line := wi / LineWords
+	stall := 0
+	switch {
+	case ctx.pool.mode == ModeStrict:
+		ctx.captureLine(line)
+	case ctx.inEpoch():
+		if first {
+			ctx.clearDirty(wi)
+		}
+		ctx.deferPWB(line)
+	case ctx.faOn:
+		if first {
+			stall = ctx.firstCharge(wi, line)
 		} else {
-			stall = ctx.chargePWB(line)
+			stall = ctx.memoCharge(line)
 		}
-		if ctx.sink != nil {
-			ctx.telePWB(s, stall)
-		}
-		if p.ctlFast()&ctlSiteArm != 0 {
-			ctx.siteHit(s)
-		}
+	default:
+		stall = ctx.chargePWB(line)
+	}
+	ctx.recordPWB(s, stall)
+}
+
+// recordPWB is the tail of every recorded write-back, StoreDurable's
+// included: the telemetry report (with the stall charged, if any) and the
+// SetCrashAtSite countdown, which fires after the write-back is scheduled.
+// With no sink attached and no site crash armed it is one inlined branch.
+func (ctx *ThreadCtx) recordPWB(s Site, stall int) {
+	if ctx.sink != nil || ctx.pool.ctlFast()&ctlSiteArm != 0 {
+		ctx.recordObserved(s, stall)
+	}
+}
+
+// recordObserved is recordPWB's outlined body.
+//
+//go:noinline
+func (ctx *ThreadCtx) recordObserved(s Site, stall int) {
+	if ctx.sink != nil {
+		ctx.telePWB(s, stall)
+	}
+	if ctx.pool.ctlFast()&ctlSiteArm != 0 {
+		ctx.siteHit(s)
 	}
 }
 
@@ -471,18 +450,13 @@ func (ctx *ThreadCtx) PSync() {
 		// The "no psync" experiments remove the instruction from the
 		// code; in ModeStrict we still commit pending write-backs so
 		// that correctness tests cannot be run in a silently broken
-		// configuration (the flag is a benchmarking device). The same
-		// invariant extends to batching: a strict-mode commit leaves
-		// nothing deferred, so the write-combining bookkeeping drains
-		// with it (a disabled psync must never strand buffered lines).
+		// configuration (the flag is a benchmarking device).
 		if p.mode == ModeStrict {
 			ctx.commitPending()
-			ctx.drainWC(false)
 		}
 		return
 	}
-	if p.mode == ModeFast &&
-		(ctx.batchDepth > 0 || (ctx.autoBatch.Active() && ctx.autoBatchOpen())) {
+	if p.mode == ModeFast && ctx.inEpoch() {
 		ctx.deferPSync()
 		return
 	}
@@ -494,9 +468,6 @@ func (ctx *ThreadCtx) PSync() {
 		} else {
 			ctx.commitPending()
 		}
-		// An explicit strict-mode psync drains the record-only
-		// write-combining bookkeeping: everything captured is now durable.
-		ctx.drainWC(false)
 	case ModeFast:
 		if ctx.faOn {
 			// The failure-free window closes: later duplicate flushes of a
@@ -524,23 +495,25 @@ func (ctx *ThreadCtx) commitPending() {
 	ctx.epochStart = 0
 }
 
-// commitLine writes a captured line snapshot to the durable view, skipping
-// any word for which a newer version is already durable (per-location
-// write-backs preserve program order).
+// commitLine writes a captured line snapshot to the durable view.
 func (p *Pool) commitLine(e *wbEntry) {
-	base := e.line * LineWords
-	for i := 0; i < LineWords; i++ {
-		wi := base + i
-		ver := e.vers[i]
-		for {
-			dv := atomic.LoadUint64(&p.dver[wi])
-			if ver <= dv {
-				break
-			}
-			if atomic.CompareAndSwapUint64(&p.dver[wi], dv, ver) {
-				atomic.StoreUint64(&p.durable[wi], e.vals[i])
-				break
-			}
+	for i := range e.vals {
+		p.commitWord(e.line*LineWords+i, e.vers[i], e.vals[i])
+	}
+}
+
+// commitWord makes v, written at version ver, the durable content of word
+// wi, unless a newer version is already durable (per-location write-backs
+// preserve program order).
+func (p *Pool) commitWord(wi int, ver, v uint64) {
+	for {
+		dv := atomic.LoadUint64(&p.dver[wi])
+		if ver <= dv {
+			return
+		}
+		if atomic.CompareAndSwapUint64(&p.dver[wi], dv, ver) {
+			atomic.StoreUint64(&p.durable[wi], v)
+			return
 		}
 	}
 }

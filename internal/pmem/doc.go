@@ -58,21 +58,25 @@
 // # Cross-operation batching
 //
 // A thread may open a write-combining epoch (BeginBatch/EndBatch), or a
-// pool may install an ambient one (SetBatchPolicy). Inside an epoch,
-// ModeFast defers flush charges into a per-thread buffer that merges
-// duplicate lines across operations and absorbs the epoch's psyncs into
-// one group sync; ModeStrict defers nothing — write-backs are still
-// captured at PWB time and committed at PSync time — so the reachable
+// pool may install an ambient one (SetBatchPolicy); either is bounded by
+// one number, its op count, with the line bound fixed at four times it.
+// Inside an epoch, ModeFast defers flush charges into a per-thread buffer
+// that merges duplicate lines across operations and absorbs the epoch's
+// psyncs into one group sync. ModeStrict has no batching at all —
+// write-backs are still captured at PWB time and committed at PSync time,
+// and every batching and elision counter reads zero — so the reachable
 // durable states are unchanged (see batch.go for the full invariant set).
+// Batching, flush avoidance and the plain charge are policies of one
+// write-back path: every persist entry point shares its site count,
+// telemetry report and crash-site countdown.
 //
 // Batching composes with the psync switch in one fixed order: a disabled
 // PSync (SetPsyncEnabled(false)) never joins or extends an epoch, and in
-// strict mode it still commits the pending write-backs immediately and
-// resets the thread's write-combining bookkeeping — durability is never
-// deferred just because a batch is open. In fast mode the deferred line
-// charges still drain at epoch close; only the sync cost disappears.
-// TestBatchedPsyncDisabledStillDrainsInStrictMode and its fast-mode twin
-// pin this down.
+// strict mode it still commits the pending write-backs immediately —
+// durability is never deferred just because a batch is open. In fast mode
+// the deferred line charges still drain at epoch close; only the sync cost
+// disappears. TestBatchedPsyncDisabledStillDrainsInStrictMode and its
+// fast-mode twin pin this down.
 //
 // # Crash and site APIs
 //

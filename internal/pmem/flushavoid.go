@@ -21,21 +21,24 @@ package pmem
 //     the memo records as flushed within the current failure-free window
 //     is elided even for untagged words. The memo is invalidated
 //     wholesale at every fast-mode PSync and write-combining drain (the
-//     epoch boundaries) and on crash capture — and at nothing finer:
-//     within one window, repeated write-backs of one line coalesce into
-//     the single pending write-back the closing PSync drains, exactly the
-//     one-pending-write-back-per-line rule strict-mode batching already
-//     models (see captureLine). The window's durable content at the
+//     epoch boundaries) — and at nothing finer: within one window,
+//     repeated write-backs of one line coalesce into the single pending
+//     write-back the closing PSync drains, exactly the
+//     one-pending-write-back-per-line rule strict mode's pending queue
+//     already models (see captureLine). The window's durable content at the
 //     PSync — the line's latest value — is the same either way; only
 //     which *intermediate* values could be durable at a crash strictly
 //     inside the window differs, and ModeFast never adjudicates crash
 //     states (Crash and DurableLoad require ModeStrict), so the coarser
 //     window is a pure cost-model choice, documented in DESIGN.md.
 //
-// Mode discipline — the load-bearing invariant of this file:
+// Both mechanisms are cost policies of the one write-back path (writeBack
+// in ctx.go), which every persist entry point shares. Mode discipline —
+// the load-bearing invariant of this file:
 //
 //   - In ModeStrict the dirty bit is NEVER set. StoreDirty degrades to
-//     Store, CASDirty to CASV, PWBFirst to PWB, LoadAndPersist to Load.
+//     Store, CASDirty to CASV, PWBFirst to PWB, LoadAndPersist to Load,
+//     and the elision counter reads zero.
 //     Strict durable states, crash-sweep verdicts and per-site strict
 //     profiles are therefore byte-identical with flush avoidance on or
 //     off, by construction.
@@ -87,20 +90,12 @@ func (p *Pool) FlushAvoid() bool {
 // write-back to the first observer (PWBFirst or LoadAndPersist).
 // Everywhere else it is exactly Store. v must have bit 1 clear.
 func (ctx *ThreadCtx) StoreDirty(a Addr, v uint64) {
-	p := ctx.pool
-	wi := int(a >> 3)
-	if uint64(p.ctlFast())|(uint64(a)&(WordSize-1)) != 0 ||
-		uint(wi-1) >= uint(len(p.words)-1) {
-		wi = p.slowpathCheck(a)
-	}
-	if ctx.faOn {
-		p.storeWord(wi, v|DirtyBit)
+	if !ctx.faOn {
+		ctx.Store(a, v)
 		return
 	}
-	p.storeWord(wi, v)
-	if p.mode == ModeStrict {
-		ctx.markWrite(wi)
-	}
+	p := ctx.pool
+	p.storeWord(p.index(a), v|DirtyBit)
 }
 
 // CASDirty is CASV for a dirty-discipline word. The compare is against the
@@ -111,23 +106,12 @@ func (ctx *ThreadCtx) StoreDirty(a Addr, v uint64) {
 // stripped. old and new must have bit 1 clear. With flush avoidance off
 // (or in ModeStrict) it is exactly CASV.
 func (ctx *ThreadCtx) CASDirty(a Addr, old, new uint64) (prev uint64, ok bool) {
+	if !ctx.faOn {
+		return ctx.CASV(a, old, new)
+	}
 	p := ctx.pool
 	p.checkCrash()
 	wi := p.wordIndex(a)
-	if !ctx.faOn {
-		for {
-			cur := p.loadWord(wi)
-			if cur != old {
-				return cur, false
-			}
-			if p.casWord(wi, old, new) {
-				if p.mode == ModeStrict {
-					ctx.markWrite(wi)
-				}
-				return old, true
-			}
-		}
-	}
 	for {
 		cur := p.loadWord(wi)
 		if cur&^DirtyBit != old {
@@ -149,79 +133,39 @@ func (ctx *ThreadCtx) CASDirty(a Addr, old, new uint64) (prev uint64, ok bool) {
 // write-combining batch the dirty tag is cleared and the line deferred
 // into the batch buffer instead, so merge and elision accounting never
 // overlap. In ModeStrict it is exactly PWB.
-func (ctx *ThreadCtx) PWBFirst(s Site, a Addr) {
-	p := ctx.pool
-	wi := int(a >> 3)
-	if uint64(p.ctlFast())|(uint64(a)&(WordSize-1)) != 0 ||
-		uint(wi-1) >= uint(len(p.words)-1) {
-		wi = p.slowpathCheck(a)
-	}
-	if !ctx.siteOn(s) {
-		return
-	}
-	ctx.countPWB(s)
-	line := wi / LineWords
-	stall := 0
-	if p.mode == ModeStrict {
-		ctx.captureLine(line)
-		if ctx.batchDepth > 0 || (ctx.autoBatch.Active() && ctx.autoBatchOpen()) {
-			ctx.recordWCLine(line)
-		}
-	} else if ctx.batchDepth > 0 || (ctx.autoBatch.Active() && ctx.autoBatchOpen()) {
-		// Merge path: the batch buffer owns the dedup accounting. Clear
-		// the dirty tag so no later observer can also elide this
-		// write-back (exactly one of merged/elided per recorded PWB).
-		ctx.clearDirty(wi)
-		ctx.deferPWB(line)
-	} else if ctx.faOn {
-		stall = ctx.firstCharge(wi, line)
-	} else {
-		stall = ctx.chargePWB(line)
-	}
-	if ctx.sink != nil {
-		ctx.telePWB(s, stall)
-	}
-	if p.ctlFast()&ctlSiteArm != 0 {
-		ctx.siteHit(s)
-	}
-}
+func (ctx *ThreadCtx) PWBFirst(s Site, a Addr) { ctx.writeBack(s, ctx.pool.index(a), true) }
 
-// clearDirty strips DirtyBit from the word, preserving a concurrent
-// writer's value (relaxed CAS loop; a clean word is left untouched).
-func (ctx *ThreadCtx) clearDirty(wi int) {
+// clearDirty strips DirtyBit from the word with a relaxed CAS loop,
+// preserving a concurrent writer's value, and returns the word's logical
+// value and whether this call cleared the tag (false: the word was
+// already clean). Two racing observers are arbitrated by the CAS: the
+// winner clears, the loser re-reads and finds the word clean.
+func (ctx *ThreadCtx) clearDirty(wi int) (uint64, bool) {
 	p := ctx.pool
 	for {
 		cur := p.loadWord(wi)
-		if cur&DirtyBit == 0 || p.casWord(wi, cur, cur&^DirtyBit) {
-			return
+		if cur&DirtyBit == 0 {
+			return cur, false
+		}
+		if p.casWord(wi, cur, cur&^DirtyBit) {
+			return cur &^ DirtyBit, true
 		}
 	}
 }
 
 // firstCharge resolves a fast-mode PWBFirst under flush avoidance: a word
 // still dirty-tagged is persisted here — the caller is its first
-// observer, so the tag is cleared and the line charged (and memoized) —
-// while a clean word was already persisted by its first observer and the
-// charge is elided. Two racing observers are arbitrated by the tag-clear
-// CAS: the winner charges, the loser re-reads, finds the word clean and
-// elides.
+// observer, so the tag is cleared and the line charged (and memoized,
+// memoCharge still applying the window rule) — while a clean word was
+// already persisted by its first observer and the charge is elided.
 //
 //go:noinline
 func (ctx *ThreadCtx) firstCharge(wi, line int) int {
-	p := ctx.pool
-	for {
-		cur := p.loadWord(wi)
-		if cur&DirtyBit == 0 {
-			ctx.pwbsElided.Add(1)
-			return 0
-		}
-		if p.casWord(wi, cur, cur&^DirtyBit) {
-			// Won the tag: this caller resolves the write-back. memoCharge
-			// still applies the window rule — a line already flushed in
-			// this failure-free window coalesces instead of re-charging.
-			return ctx.memoCharge(line)
-		}
+	if _, cleared := ctx.clearDirty(wi); !cleared {
+		ctx.pwbsElided.Add(1)
+		return 0
 	}
+	return ctx.memoCharge(line)
 }
 
 // lapSlow is LoadAndPersist's outlined cold continuation, reached for a
@@ -237,55 +181,25 @@ func (ctx *ThreadCtx) lapSlow(s Site, a Addr) uint64 {
 		panic(badAddrError(a))
 	}
 	p.checkCrash()
-	v := p.loadWord(int(wi))
-	if v&DirtyBit != 0 {
-		return ctx.lapDirty(s, int(wi), v)
-	}
-	return v
-}
-
-// lapDirty is LoadAndPersist's outlined dirty path: clear the tag, charge
-// and record the first-observer write-back at site s, and return the
-// logical value. Losing the tag-clear race to another observer degrades to
-// the elide-free plain read (the winner recorded the flush). A disabled
-// site clears the tag without recording or charging — the code line is
-// "removed", and leaving the tag would put every later reader of the word
-// on this slow path.
-//
-//go:noinline
-func (ctx *ThreadCtx) lapDirty(s Site, wi int, v uint64) uint64 {
-	p := ctx.pool
-	for {
-		if v&DirtyBit == 0 {
-			return v
-		}
-		if p.casWord(wi, v, v&^DirtyBit) {
-			v &^= DirtyBit
-			break
-		}
-		v = p.loadWord(wi)
-	}
-	if !ctx.siteOn(s) {
+	if v := p.loadWord(int(wi)); v&DirtyBit == 0 {
 		return v
 	}
-	ctx.countPWB(s)
-	line := wi / LineWords
-	stall := 0
-	switch {
-	case p.mode == ModeStrict:
-		// Unreachable in practice — the dirty tag is never set in
-		// ModeStrict — but kept total for defense in depth.
-		ctx.captureLine(line)
-	case ctx.batchDepth > 0 || (ctx.autoBatch.Active() && ctx.autoBatchOpen()):
-		ctx.deferPWB(line)
-	default:
-		stall = ctx.memoCharge(line)
-	}
-	if ctx.sink != nil {
-		ctx.telePWB(s, stall)
-	}
-	if p.ctlFast()&ctlSiteArm != 0 {
-		ctx.siteHit(s)
+	return ctx.lapDirty(s, int(wi))
+}
+
+// lapDirty is LoadAndPersist's outlined dirty path: clear the tag, record
+// the first-observer write-back at site s through the shared write-back
+// path, and return the logical value. Losing the tag-clear race to another
+// observer degrades to the elide-free plain read (the winner recorded the
+// flush). A disabled site clears the tag without recording or charging —
+// the code line is "removed", and leaving the tag would put every later
+// reader of the word on this slow path.
+//
+//go:noinline
+func (ctx *ThreadCtx) lapDirty(s Site, wi int) uint64 {
+	v, cleared := ctx.clearDirty(wi)
+	if cleared {
+		ctx.writeBack(s, wi, false)
 	}
 	return v
 }
@@ -313,8 +227,7 @@ func (ctx *ThreadCtx) memoInsert(line int) {
 }
 
 // memoClear invalidates the whole memo: called at every fast-mode PSync
-// and write-combining drain (the failure-free window closes) and on crash
-// capture.
+// and write-combining drain (the failure-free window closes).
 //
 //go:noinline
 func (ctx *ThreadCtx) memoClear() {

@@ -148,7 +148,7 @@ func TestFlushAvoidCounterExclusivity(t *testing.T) {
 			if batched {
 				ctx.EndBatch()
 			} else {
-				ctx.BeginBatch(BatchConfig{MaxLines: 8, MaxOps: 4})
+				ctx.BeginBatch(2) // line bound 8
 			}
 			batched = !batched
 		}

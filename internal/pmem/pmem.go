@@ -100,13 +100,14 @@ type Pool struct {
 	// field costs the inliner less than len() on the slice.
 	wordLimit uint
 	// lapLimit folds the crash-control gate into the address gate for
-	// LoadAndPersist's x86-TSO fast path: it equals wordLimit while
-	// crashCtl is zero and drops to zero whenever any control bit is
-	// armed, so `wi-1 < lapLimit` is a single compare that rejects bad
-	// addresses AND diverts every access to the checked slow path while
-	// a crash, countdown or site arm is pending. Maintained by
-	// setCrashCtl/clearCrashCtl (and the inlined countdown-crash store in
-	// Load); read plainly like crashCtl, with the same TSO argument.
+	// the accessors' index gate and LoadAndPersist's x86-TSO fast path:
+	// it equals wordLimit while crashCtl is zero and drops to zero
+	// whenever any control bit is armed, so `wi-1 < lapLimit` is a single
+	// compare that rejects bad addresses AND diverts every access to the
+	// checked slow path while a crash, countdown or site arm is pending.
+	// Maintained by setCrashCtl/clearCrashCtl (and the inlined
+	// countdown-crash store in Load); read plainly like crashCtl, with the
+	// same TSO argument (atomically in words_atomic.go).
 	lapLimit uint64
 
 	// Strict mode state.
@@ -149,20 +150,19 @@ type Pool struct {
 	_            [64]byte
 	siteGen      atomic.Uint64 // site-table generation, see sites.go
 	_            [64]byte
-	batchDebug   atomic.Bool // retire-with-open-batch panics (batch.go)
-	_            [64]byte
 
 	mu          sync.Mutex
 	ctxs        []*ThreadCtx
-	sites       []*siteInfo
+	sites       []string // registered site labels, indexed by Site
 	enabledBits []uint64 // per-site enabled bitmask, under mu
 	genLocked   uint64   // shadow of siteGen, under mu
 	// telemetry is the attached sink (nil when detached), under mu;
 	// threads consult their generation-cached copy (see telemetry.go).
 	telemetry TelemetrySink
-	// batchPolicy is the ambient write-combining policy (zero when none),
-	// under mu; threads consult their generation-cached copy (batch.go).
-	batchPolicy BatchConfig
+	// batchPolicy is the ambient write-combining policy's op bound (0 when
+	// none), under mu; threads consult their generation-cached copy
+	// (batch.go).
+	batchPolicy int
 	// flushAvoid enables link-and-persist elision and the per-thread
 	// flushed-line memo, under mu; threads consult their generation-cached
 	// copy (flushavoid.go). Effective only in ModeFast.

@@ -159,6 +159,148 @@ func TestSetCrashAtSiteStoreDurableAndRange(t *testing.T) {
 	if got := p.NewThread(0).Load(a); got != 9 {
 		t.Fatalf("Load = %d, want 9 (StoreDurable is failure-atomic)", got)
 	}
+
+	// Every persist entry point shares one record point: under every mode
+	// and policy, each written-back line advances the site count, the
+	// telemetry PWB report and the armed countdown by exactly one.
+	for _, cfg := range recordPointConfigs {
+		for _, ep := range recordPointEntries {
+			t.Run(cfg.name+"/"+ep.name, func(t *testing.T) {
+				checkRecordPoint(t, cfg, ep)
+			})
+		}
+	}
+}
+
+// recordPointConfig is one pool set-up of the record-point table.
+type recordPointConfig struct {
+	name        string
+	mode        Mode
+	batchOps    int
+	flushAvoid  bool
+	dirtyTagged bool // StoreDirty sets DirtyBit (ModeFast + flush avoidance)
+}
+
+// recordPointEntry is one persist entry point; run returns how many lines
+// the call wrote back (LoadAndPersist writes back only a word still
+// carrying the dirty tag).
+type recordPointEntry struct {
+	name string
+	run  func(t *testing.T, ctx *ThreadCtx, s Site, a Addr, dirtyTagged bool) int
+}
+
+var recordPointConfigs = []recordPointConfig{
+	{"strict", ModeStrict, 0, false, false},
+	{"strict+batch+flush-avoid", ModeStrict, 2, true, false},
+	{"fast", ModeFast, 0, false, false},
+	{"fast+batch", ModeFast, 2, false, false},
+	{"fast+flush-avoid", ModeFast, 0, true, true},
+	{"fast+batch+flush-avoid", ModeFast, 2, true, true},
+}
+
+var recordPointEntries = []recordPointEntry{
+	{"PWB", func(_ *testing.T, ctx *ThreadCtx, s Site, a Addr, _ bool) int {
+		ctx.PWB(s, a)
+		return 1
+	}},
+	{"PWBRange-1", func(_ *testing.T, ctx *ThreadCtx, s Site, a Addr, _ bool) int {
+		ctx.PWBRange(s, a, 2)
+		return 1
+	}},
+	{"PWBRange-3", func(_ *testing.T, ctx *ThreadCtx, s Site, a Addr, _ bool) int {
+		ctx.PWBRange(s, a+4*WordSize, 2*LineWords) // words 4..19: lines 0-2
+		return 3
+	}},
+	{"PWBFirst", func(_ *testing.T, ctx *ThreadCtx, s Site, a Addr, _ bool) int {
+		ctx.StoreDirty(a, 8)
+		ctx.PWBFirst(s, a)
+		return 1
+	}},
+	{"LoadAndPersist", func(t *testing.T, ctx *ThreadCtx, s Site, a Addr, dirtyTagged bool) int {
+		ctx.StoreDirty(a, 8)
+		if v := ctx.LoadAndPersist(s, a); v != 8 {
+			t.Fatalf("LoadAndPersist = %#x, want the logical value 8", v)
+		}
+		if dirtyTagged {
+			return 1
+		}
+		return 0
+	}},
+	{"StoreDurable", func(_ *testing.T, ctx *ThreadCtx, s Site, a Addr, _ bool) int {
+		ctx.StoreDurable(s, a, 8)
+		return 1
+	}},
+}
+
+// pwbSink counts TelemetryPWB reports per site.
+type pwbSink map[Site]int
+
+func (k pwbSink) TelemetryPWB(_ int, s Site, _ int64)                { k[s]++ }
+func (pwbSink) TelemetryPSync(int, int64, int64, []SiteStall)        {}
+func (pwbSink) TelemetryPFence(int)                                  {}
+func (pwbSink) TelemetryEvent(TelemetryEventKind, int, Site, uint64) {}
+
+func checkRecordPoint(t *testing.T, cfg recordPointConfig, ep recordPointEntry) {
+	p := New(Config{Mode: cfg.mode, CapacityWords: 1 << 12, MaxThreads: 1})
+	p.SetBatchPolicy(cfg.batchOps)
+	p.SetFlushAvoid(cfg.flushAvoid)
+	sink := pwbSink{}
+	p.SetTelemetrySink(sink)
+	s := p.RegisterSite("rp")
+	ctx := p.NewThread(0)
+	a := ctx.AllocLines(4)
+	const armed = 1000
+	p.SetCrashAtSite(s, armed)
+	base := p.Snapshot()
+	want := 0
+	// The second round finds every line already written back: the memo
+	// and clean-word elision paths (and the batch merge path) take over.
+	for round := 1; round <= 2; round++ {
+		want += ep.run(t, ctx, s, a, cfg.dirtyTagged)
+		ctx.Retire() // drain an open epoch so every charge is settled
+		st := p.Snapshot().Sub(base)
+		if got := st.PWBsBySite["rp"]; got != uint64(want) {
+			t.Fatalf("round %d: site count %d, want %d", round, got, want)
+		}
+		if sink[s] != want {
+			t.Fatalf("round %d: telemetry PWB reports %d, want %d", round, sink[s], want)
+		}
+		if _, rem, ok := p.CrashSiteArmed(); !ok || rem != armed-int64(want) {
+			t.Fatalf("round %d: countdown armed=%v remaining=%d, want %d", round, ok, rem, armed-want)
+		}
+		if cfg.mode == ModeStrict {
+			if st.PWBsDeferred+st.PWBsMerged+st.PWBsElided+st.PSyncsMerged+st.BatchDrains != 0 {
+				t.Fatalf("round %d: strict batching/elision counters non-zero: %+v", round, st)
+			}
+		} else if got := st.PWBsExecuted + st.PWBsMerged + st.PWBsElided; got != st.PWBs {
+			t.Fatalf("round %d: executed %d + merged %d + elided %d = %d, want recorded %d",
+				round, st.PWBsExecuted, st.PWBsMerged, st.PWBsElided, got, st.PWBs)
+		}
+	}
+}
+
+// TestStoreDurableDisabledSiteNotCharged pins SetSiteEnabled's contract
+// for StoreDurable: a disabled site's write-back is neither executed nor
+// counted in ModeFast (executed + merged + elided == recorded stays
+// exact), while the strict-mode durable commit still happens.
+func TestStoreDurableDisabledSiteNotCharged(t *testing.T) {
+	for _, mode := range []Mode{ModeFast, ModeStrict} {
+		p := New(Config{Mode: mode, CapacityWords: 1 << 12, MaxThreads: 1})
+		s := p.RegisterSite("sd/off")
+		p.SetSiteEnabled(s, false)
+		ctx := p.NewThread(0)
+		a := ctx.AllocLines(1)
+		base := p.Snapshot()
+		ctx.StoreDurable(s, a, 5)
+		st := p.Snapshot().Sub(base)
+		if st.PWBs != 0 || st.PWBsExecuted != 0 || st.SpinUnits != 0 {
+			t.Fatalf("mode %d: disabled site recorded %d, executed %d, spun %d; want 0, 0, 0",
+				mode, st.PWBs, st.PWBsExecuted, st.SpinUnits)
+		}
+		if mode == ModeStrict && p.DurableLoad(a) != 5 {
+			t.Fatalf("strict StoreDurable on a disabled site lost its durable commit")
+		}
+	}
 }
 
 func TestRecoverKeepsUnfiredSiteArm(t *testing.T) {

@@ -15,11 +15,6 @@ type Site int
 // algorithm code line (never counted, never disabled).
 const NoSite Site = -1
 
-type siteInfo struct {
-	label    string
-	disabled bool // under Pool.mu; threads consult their cached bitmask
-}
-
 // bumpSiteGen publishes a site-table change. Called with p.mu held.
 // Threads notice the new generation on their next site check and re-copy
 // the enabled bitmask under the lock; between the bump and the re-copy a
@@ -40,30 +35,26 @@ func (p *Pool) bumpSiteGen() {
 func (p *Pool) RegisterSite(label string) Site {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for i, s := range p.sites {
-		if s.label == label {
+	for i, l := range p.sites {
+		if l == label {
 			return Site(i)
 		}
 	}
-	p.sites = append(p.sites, &siteInfo{label: label})
+	p.sites = append(p.sites, label)
 	if need := (len(p.sites) + 63) / 64; need > len(p.enabledBits) {
 		p.enabledBits = append(p.enabledBits, 0)
 	}
-	i := uint(len(p.sites) - 1)
-	p.enabledBits[i>>6] |= 1 << (i & 63)
+	s := Site(len(p.sites) - 1)
+	p.setSiteBit(s, true)
 	p.bumpSiteGen()
-	return Site(i)
+	return s
 }
 
 // SiteLabels returns the labels of all registered sites, indexed by Site.
 func (p *Pool) SiteLabels() []string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]string, len(p.sites))
-	for i, s := range p.sites {
-		out[i] = s.label
-	}
-	return out
+	return append(make([]string, 0, len(p.sites)), p.sites...)
 }
 
 // SetSiteEnabled enables or disables the pwb code line s. A disabled site's
@@ -73,13 +64,7 @@ func (p *Pool) SetSiteEnabled(s Site, on bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if int(s) >= 0 && int(s) < len(p.sites) {
-		p.sites[s].disabled = !on
-		i := uint(s)
-		if on {
-			p.enabledBits[i>>6] |= 1 << (i & 63)
-		} else {
-			p.enabledBits[i>>6] &^= 1 << (i & 63)
-		}
+		p.setSiteBit(s, on)
 		p.bumpSiteGen()
 	}
 }
@@ -89,15 +74,21 @@ func (p *Pool) SetSiteEnabled(s Site, on bool) {
 func (p *Pool) SetAllSitesEnabled(on bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for i, s := range p.sites {
-		s.disabled = !on
-		if on {
-			p.enabledBits[uint(i)>>6] |= 1 << (uint(i) & 63)
-		} else {
-			p.enabledBits[uint(i)>>6] &^= 1 << (uint(i) & 63)
-		}
+	for i := range p.sites {
+		p.setSiteBit(Site(i), on)
 	}
 	p.bumpSiteGen()
+}
+
+// setSiteBit sets or clears site s's bit in the enabled bitmask, the one
+// copy of the site switches. Called with p.mu held.
+func (p *Pool) setSiteBit(s Site, on bool) {
+	w, bit := uint(s)>>6, uint64(1)<<(uint(s)&63)
+	if on {
+		p.enabledBits[w] |= bit
+	} else {
+		p.enabledBits[w] &^= bit
+	}
 }
 
 // siteOn reports whether site s is enabled, consulting a thread-local copy
@@ -123,19 +114,27 @@ func (ctx *ThreadCtx) siteOn(s Site) bool {
 	return true
 }
 
-// refreshSites re-copies the enabled bitmask (and the telemetry sink,
-// which is published through the same generation) under the pool lock.
+// refreshSites re-copies the generation-published pool configuration
+// under the pool lock.
 //
 //go:noinline
 func (ctx *ThreadCtx) refreshSites() {
+	ctx.pool.mu.Lock()
+	ctx.adoptLocked()
+	ctx.pool.mu.Unlock()
+}
+
+// adoptLocked copies everything published through the site-table
+// generation — the enabled bitmask, the telemetry sink, the ambient batch
+// policy and the flush-avoidance switch — into the owner's cache. Called
+// with p.mu held.
+func (ctx *ThreadCtx) adoptLocked() {
 	p := ctx.pool
-	p.mu.Lock()
 	ctx.siteBits = append(ctx.siteBits[:0], p.enabledBits...)
 	ctx.sink = p.telemetry
 	ctx.autoBatch = p.batchPolicy
 	ctx.faOn = p.flushAvoid && p.mode == ModeFast
 	ctx.siteGen = p.genLocked
-	p.mu.Unlock()
 }
 
 // Stats is a snapshot of persistence-instruction counters summed over all
@@ -152,16 +151,15 @@ type Stats struct {
 	// (batched, elided or not — the record point is invariant under both
 	// features); the charges that actually executed number
 	// PWBs - PWBsMerged - PWBsElided, and in ModeFast windows free of
-	// NoSite traffic PWBsExecuted equals exactly that (the invariant
-	// executed + merged + elided == recorded, pinned by
-	// TestFlushAvoidCounterExclusivity). A write-back lands in at most one
-	// of Merged/Elided: an open batch clears the dirty tag and owns the
-	// dedup accounting, so elision never double-counts a merged flush.
-	// PSyncs likewise counts executed syncs only, so a batched run shows
-	// PSyncs shrinking as PSyncsMerged grows. In ModeStrict the
-	// deferred/merged counters are advisory (they measure the merge
-	// opportunity; no charge exists to eliminate) and the elision counters
-	// stay zero (the dirty tag is never set).
+	// NoSite traffic PWBsExecuted equals exactly that once open epochs
+	// have drained (the invariant executed + merged + elided == recorded,
+	// pinned by TestFlushAvoidCounterExclusivity). A write-back lands in
+	// at most one of Merged/Elided: an open batch clears the dirty tag and
+	// owns the dedup accounting, so elision never double-counts a merged
+	// flush. PSyncs likewise counts executed syncs only, so a batched run
+	// shows PSyncs shrinking as PSyncsMerged grows. In ModeStrict every
+	// batching and elision counter reads zero: strict mode neither defers
+	// nor elides anything.
 	PWBsDeferred uint64 // write-backs recorded into a write-combining buffer
 	PWBsMerged   uint64 // of those, duplicate lines merged (charges eliminated)
 	PSyncsMerged uint64 // psyncs absorbed into a group sync
@@ -178,8 +176,8 @@ func (p *Pool) Snapshot() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	st := Stats{PWBsBySite: make(map[string]uint64, len(p.sites))}
-	for _, s := range p.sites {
-		st.PWBsBySite[s.label] = 0
+	for _, l := range p.sites {
+		st.PWBsBySite[l] = 0
 	}
 	for _, ctx := range p.ctxs {
 		// The pwbPerSite header is swapped only under p.mu (see
@@ -187,7 +185,7 @@ func (p *Pool) Snapshot() Stats {
 		for i := range ctx.pwbPerSite {
 			if i < len(p.sites) {
 				c := ctx.pwbPerSite[i].Load()
-				st.PWBsBySite[p.sites[i].label] += c
+				st.PWBsBySite[p.sites[i]] += c
 				st.PWBs += c
 			}
 		}

@@ -2,7 +2,10 @@
 
 package pmem
 
-import "sync/atomic"
+import (
+	"math/bits"
+	"sync/atomic"
+)
 
 // Sequentially-consistent volatile-view accessors, used where the plain
 // x86-TSO implementation in words_relaxed.go does not apply: under the
@@ -14,6 +17,16 @@ func (p *Pool) loadWord(wi int) uint64 { return atomic.LoadUint64(&p.words[wi]) 
 
 // ctlFast reads the crash-control word on the hot path.
 func (p *Pool) ctlFast() uint32 { return atomic.LoadUint32(&p.crashCtl) }
+
+// index is the gate of the checked accessors; see the x86-TSO variant in
+// words_relaxed.go.
+func (p *Pool) index(a Addr) int {
+	wi := bits.RotateLeft64(uint64(a), -3)
+	if wi-1 >= atomic.LoadUint64(&p.lapLimit) {
+		return p.slowpathCheck(a)
+	}
+	return int(wi)
+}
 
 // Load atomically reads the word at a from the volatile view. Same shape
 // as the x86-TSO variant in words_relaxed.go, with sequentially-consistent

@@ -2,7 +2,10 @@
 
 package pmem
 
-import "sync/atomic"
+import (
+	"math/bits"
+	"sync/atomic"
+)
 
 // This file implements the volatile-view word accessors with the memory
 // ordering of the modeled machine. The paper's experiments ran on Intel
@@ -41,6 +44,20 @@ func (p *Pool) loadWord(wi int) uint64 { return p.words[wi] }
 // load on every call — it performs no loop-invariant load hoisting —
 // which TestRelaxedSpinObservesRemoteStore pins down empirically.
 func (p *Pool) ctlFast() uint32 { return p.crashCtl }
+
+// index is the gate of the checked accessors (Store, CAS, PWB, ...): it
+// folds the crash check, the alignment check and the bounds check into one
+// compare on the common path and returns a's word index, leaving the rare
+// cases to slowpathCheck. The rotate is Load's (see below), and lapLimit
+// is zero whenever any crash-control bit is set. Written to fit the
+// inlining budget, like Load.
+func (p *Pool) index(a Addr) int {
+	wi := bits.RotateLeft64(uint64(a), -3)
+	if wi-1 >= p.lapLimit {
+		return p.slowpathCheck(a)
+	}
+	return int(wi)
+}
 
 // Load atomically reads the word at a from the volatile view.
 //

@@ -220,7 +220,7 @@ func (s *Set) checkpoint(c *pmem.ThreadCtx, tail uint64) {
 	// and the buffer-switch publish supplies the single group sync. Called
 	// from inside run()'s combine epoch this simply joins it (batches
 	// nest).
-	if bp := s.pool.BatchPolicy(); bp.Active() {
+	if bp := s.pool.BatchPolicy(); bp > 0 {
 		c.BeginBatch(bp)
 		defer c.EndBatch()
 	}
@@ -338,7 +338,7 @@ func (h *Handle) run(seq, op uint64, key int64) uint64 {
 	// the epoch. Strict-mode durability is unaffected (batching never
 	// defers strict captures or commits); with no policy installed the
 	// combiner's cost profile is exactly the unbatched one.
-	if bp := s.pool.BatchPolicy(); bp.Active() {
+	if bp := s.pool.BatchPolicy(); bp > 0 {
 		c.BeginBatch(bp)
 		defer c.EndBatch()
 	}

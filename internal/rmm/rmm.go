@@ -139,12 +139,12 @@ type Allocator struct {
 	// the base list — the same trick page-table-style allocators use.
 	// Republished as one pointer swap on each grow so readers always see a
 	// consistent table.
-	bases atomic.Pointer[baseTable]
-	nChunks     atomic.Int32
-	growMu      sync.Mutex
-	rotor       atomic.Int64 // distributes handles across chunks
-	shrinkPct   atomic.Int64 // auto-retire threshold; 0 disables
-	s           sites
+	bases     atomic.Pointer[baseTable]
+	nChunks   atomic.Int32
+	growMu    sync.Mutex
+	rotor     atomic.Int64 // distributes handles across chunks
+	shrinkPct atomic.Int64 // auto-retire threshold; 0 disables
+	s         sites
 
 	// Statistics counters; see Stats.
 	allocs, freesN, grows, shrinks, reactivates atomic.Uint64

@@ -245,7 +245,7 @@ func (tm *TM) UpdateGroup(ctx *pmem.ThreadCtx, fns ...func(tx *Tx)) {
 	}
 	tm.mu.Lock()
 	defer tm.mu.Unlock()
-	ctx.BeginBatch(pmem.BatchConfig{})
+	ctx.BeginBatch(0)
 	defer ctx.EndBatch()
 	tm.commit(ctx, func(tx *Tx) {
 		for _, fn := range fns {
